@@ -1,12 +1,11 @@
-// End-to-end and per-stage training throughput for the fit-threads knob.
+// End-to-end and per-stage training throughput.
 //
-// Guards the PR-4 win: `pipeline.fit` with --fit-threads=8 must beat
-// --fit-threads=1 by a wide margin (tools/run_bench.sh enforces the ratio
-// via BENCH_FIT_MIN_SPEEDUP). On a single-core runner the speedup comes from
-// the batched execution layout the knob switches on — one gemm forward per
-// net per row instead of two scalar forwards plus a scalar backward — so the
-// ratio is a lower bound for multi-core hardware, where the sharded LDA and
-// column-sharded gradient accumulation add real parallelism on top.
+// BM_PipelineFit/N fits the whole pipeline at --fit-threads=N;
+// tools/run_bench.sh guards the /8 over /1 ratio via BENCH_FIT_MIN_SPEEDUP.
+// Every stage trains on the same gemm-backed minibatch loop at any thread
+// count, so the ratio measures thread scaling only: sharded LDA and
+// column-sharded gradient accumulation. The timing stage dominates the fit
+// and has no thread knob, so the ratio sits near 1 even on multi-core hosts.
 //
 // The 1-thread and N-thread fits produce bit-identical models for every
 // stage except LDA (see fit_parallel_test.cpp), so items_per_second is the
@@ -75,7 +74,7 @@ BENCHMARK(BM_PipelineFit)->Arg(1)->Arg(8)->Unit(benchmark::kSecond);
 
 // Isolates the dominant stage (the point-process likelihood is ~95% of
 // pipeline.fit wall-clock) on synthetic threads so regressions in the
-// batched tape path show up without the LDA/feature noise in front.
+// batched training path show up without the LDA/feature noise in front.
 std::vector<core::TimingThread> synthetic_timing_threads(std::size_t n,
                                                          std::size_t dim) {
   std::vector<core::TimingThread> threads;
@@ -107,10 +106,8 @@ std::vector<core::TimingThread> synthetic_timing_threads(std::size_t n,
 
 void BM_TimingFit(benchmark::State& state) {
   static const auto threads_data = synthetic_timing_threads(250, 34);
-  const auto fit_threads = static_cast<std::size_t>(state.range(0));
   core::TimingPredictorConfig config;
   config.epochs = 10;
-  config.threads = fit_threads;
   for (auto _ : state) {
     core::TimingPredictor predictor(config);
     predictor.fit(threads_data);
@@ -119,7 +116,7 @@ void BM_TimingFit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(threads_data.size()));
 }
-BENCHMARK(BM_TimingFit)->Arg(1)->Arg(8)->Unit(benchmark::kSecond);
+BENCHMARK(BM_TimingFit)->Unit(benchmark::kSecond);
 
 }  // namespace
 

@@ -1,8 +1,5 @@
 #include "core/answer_predictor.hpp"
 
-#include <istream>
-#include <ostream>
-
 #include "ml/serialize.hpp"
 #include "ml/workspace.hpp"
 #include "obs/obs.hpp"
@@ -46,25 +43,6 @@ void AnswerPredictor::predict_probability_batch(ml::Tensor<const double> rows,
     scaler_.transform_into(rows.row(r), scaled);
     out[r] = model_.predict_probability(scaled);
   }
-}
-
-void AnswerPredictor::save(std::ostream& out) const {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot save an unfitted AnswerPredictor");
-  out << "forumcast-answer 1\n";
-  ml::save_scaler(scaler_, out);
-  ml::save_logistic(model_, out);
-}
-
-AnswerPredictor AnswerPredictor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  FORUMCAST_CHECK_MSG(in.good() && magic == "forumcast-answer" && version == 1,
-                      "bad AnswerPredictor header");
-  AnswerPredictor predictor;
-  predictor.scaler_ = ml::load_scaler(in);
-  predictor.model_ = ml::load_logistic(in);
-  return predictor;
 }
 
 void AnswerPredictor::encode(artifact::Encoder& enc) const {

@@ -5,7 +5,6 @@
 // nonlinear models overfit the negatives.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -39,11 +38,8 @@ class AnswerPredictor {
 
   bool fitted() const { return model_.fitted(); }
 
-  /// Persistence: scaler + logistic parameters (not the training config).
-  void save(std::ostream& out) const;
-  static AnswerPredictor load(std::istream& in);
-
-  /// Model-bundle codec; a decoded predictor is bit-identical in prediction.
+  /// Model-bundle codec: scaler + logistic parameters (not the training
+  /// config); a decoded predictor is bit-identical in prediction.
   void encode(artifact::Encoder& enc) const;
   static AnswerPredictor decode(artifact::Decoder& dec);
 

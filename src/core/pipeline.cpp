@@ -97,8 +97,6 @@ ForecastPipeline::ForecastPipeline(PipelineConfig config)
   if (fit_threads != 1) {
     config_.extractor.lda.threads = fit_threads;
     config_.answer.logistic.threads = fit_threads;
-    config_.vote.threads = fit_threads;
-    config_.timing.threads = fit_threads;
   }
 }
 

@@ -35,14 +35,13 @@ struct PipelineConfig {
   /// Negatives sampled per positive for the answer classifier.
   double negatives_per_positive = 1.0;
   std::uint64_t seed = 99;
-  /// Training parallelism, fanned out to every stage: LDA Gibbs shards
-  /// (extractor.lda.threads), answer-classifier gradient accumulation
-  /// (answer.logistic.threads), and the gemm-backed minibatch paths of the
-  /// vote and timing networks (vote.threads / timing.threads). 0 resolves to
-  /// util::default_thread_count(). With 1 (the default) every stage runs the
-  /// serial path and the fit is bit-equal to previous releases; with N > 1
-  /// only the LDA stage changes results (AD-LDA sharding, deterministic for
-  /// a fixed N) — the gradient stages stay bit-equal at any thread count.
+  /// Training parallelism, fanned out to the stages that have any: LDA
+  /// Gibbs shards (extractor.lda.threads) and answer-classifier gradient
+  /// columns (answer.logistic.threads). 0 resolves to
+  /// util::default_thread_count(). Only the LDA stage changes results with
+  /// N > 1 (AD-LDA sharding, deterministic for a fixed N); the gradient
+  /// stages are bit-equal at any thread count. The vote and timing networks
+  /// always train on gemm-backed minibatches and take no thread knob.
   /// Values other than 1 override the per-stage thread knobs above.
   std::size_t fit_threads = 1;
 };

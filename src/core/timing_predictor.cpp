@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "ml/adam.hpp"
 #include "ml/activations.hpp"
@@ -115,9 +113,7 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   std::iota(order.begin(), order.end(), std::size_t{0});
   util::Rng rng(config_.seed ^ 0x51adULL);
 
-  ml::Mlp::Tape f_tape, g_tape;
   const std::size_t batch = std::max<std::size_t>(1, config_.batch_threads);
-  const bool batched = config_.threads > 1;
   ml::Mlp::BatchTape f_btape, g_btape;
   ml::Matrix xbatch, f_gout, g_gout;
   struct RowMeta {
@@ -127,29 +123,6 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   };
   std::vector<RowMeta> meta;
 
-  // Evaluates μ, ω for a scaled row and accumulates gradients given
-  // dLoss/dμ and dLoss/dω (loss = negative log-likelihood).
-  double rho_grad = 0.0;
-  auto accumulate = [&](const std::vector<double>& x, double dloss_dmu,
-                        double dloss_domega) {
-    // μ = f(x) + floor ⇒ dμ/df_out = 1.
-    f_net_->forward(x, f_tape);
-    f_net_->backward(f_tape, std::vector<double>{dloss_dmu});
-    if (g_net_) {
-      g_net_->forward(x, g_tape);
-      g_net_->backward(g_tape, std::vector<double>{dloss_domega});
-    } else if (config_.train_constant_omega) {
-      rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
-    }
-  };
-  auto mu_of = [&](const std::vector<double>& x) {
-    return f_net_->forward(x)[0] + kMuFloor;
-  };
-  auto omega_of = [&](const std::vector<double>& x) {
-    if (g_net_) return g_net_->forward(x)[0] + kOmegaFloor;
-    return ml::softplus(omega_rho_) + kOmegaFloor;
-  };
-
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     FORUMCAST_SPAN("timing.epoch");
     double epoch_nll = 0.0;
@@ -158,87 +131,64 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
       const std::size_t end = std::min(order.size(), start + batch);
       f_net_->zero_grad();
       if (g_net_) g_net_->zero_grad();
-      rho_grad = 0.0;
+      double rho_grad = 0.0;
       const double inv = 1.0 / static_cast<double>(end - start);
 
-      if (!batched) {
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          // Answer events: loss −= log μ − ω·delay.
-          for (const auto& [x, delay] : thread.answers) {
-            const double mu = mu_of(x);
-            epoch_nll -= std::log(mu) - omega_of(x) * delay;
-            accumulate(x, -inv / mu, inv * delay);
-          }
-          // Survival terms: loss += w · μ · A(ω), A = (1 − e^{−ωΔ})/ω.
-          for (const auto& [x, weight] : thread.survival) {
-            const double mu = mu_of(x);
-            const double omega = omega_of(x);
-            const double a = survival_integral(omega, thread.delta);
-            const double da = survival_integral_domega(omega, thread.delta);
-            epoch_nll += weight * mu * a;
-            accumulate(x, inv * weight * a, inv * weight * mu * da);
-          }
-        }
-      } else {
-        // Flatten the minibatch's event rows (answers then survival per
-        // thread, threads in shuffle order — the serial visit order) and run
-        // each net once over the whole block instead of twice per row. The
-        // nll/ρ folds below walk the same row order and backward_batch
-        // accumulates its contraction in row order, so every fitted
-        // parameter matches the serial loop bit for bit.
-        meta.clear();
-        std::size_t nrows = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          nrows += thread.answers.size() + thread.survival.size();
-        }
-        xbatch.resize(nrows, dim);
-        std::size_t b = 0;
-        for (std::size_t k = start; k < end; ++k) {
-          const ScaledThread& thread = scaled[order[k]];
-          for (const auto& [x, delay] : thread.answers) {
-            std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
-            meta.push_back({delay, thread.delta, true});
-          }
-          for (const auto& [x, weight] : thread.survival) {
-            std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
-            meta.push_back({weight, thread.delta, false});
-          }
-        }
-        const ml::Tensor<const double> f_out =
-            f_net_->forward_batch(xbatch, f_btape);
-        ml::Tensor<const double> g_out;
-        if (g_net_) g_out = g_net_->forward_batch(xbatch, g_btape);
-        f_gout.resize(nrows, 1);
-        if (g_net_) g_gout.resize(nrows, 1);
-        const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
-        for (std::size_t r = 0; r < nrows; ++r) {
-          const double mu = f_out(r, 0) + kMuFloor;
-          const double omega =
-              g_net_ ? g_out(r, 0) + kOmegaFloor : constant_omega;
-          double dloss_dmu = 0.0, dloss_domega = 0.0;
-          if (meta[r].answer) {
-            epoch_nll -= std::log(mu) - omega * meta[r].value;
-            dloss_dmu = -inv / mu;
-            dloss_domega = inv * meta[r].value;
-          } else {
-            const double a = survival_integral(omega, meta[r].delta);
-            const double da = survival_integral_domega(omega, meta[r].delta);
-            epoch_nll += meta[r].value * mu * a;
-            dloss_dmu = inv * meta[r].value * a;
-            dloss_domega = inv * meta[r].value * mu * da;
-          }
-          f_gout(r, 0) = dloss_dmu;
-          if (g_net_) {
-            g_gout(r, 0) = dloss_domega;
-          } else if (config_.train_constant_omega) {
-            rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
-          }
-        }
-        f_net_->backward_batch(f_btape, f_gout.view());
-        if (g_net_) g_net_->backward_batch(g_btape, g_gout.view());
+      // Flatten the minibatch's event rows (answers then survival per
+      // thread, threads in shuffle order) and run each net once over the
+      // whole block. Answer rows add −(log μ − ω·delay) to the loss;
+      // survival rows add w · μ · A(ω), A = (1 − e^{−ωΔ})/ω. The nll/ρ
+      // folds walk the rows in order, as backward_batch does.
+      meta.clear();
+      std::size_t nrows = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const ScaledThread& thread = scaled[order[k]];
+        nrows += thread.answers.size() + thread.survival.size();
       }
+      xbatch.resize(nrows, dim);
+      std::size_t b = 0;
+      for (std::size_t k = start; k < end; ++k) {
+        const ScaledThread& thread = scaled[order[k]];
+        for (const auto& [x, delay] : thread.answers) {
+          std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
+          meta.push_back({delay, thread.delta, true});
+        }
+        for (const auto& [x, weight] : thread.survival) {
+          std::copy(x.begin(), x.end(), xbatch.row(b++).begin());
+          meta.push_back({weight, thread.delta, false});
+        }
+      }
+      const ml::Tensor<const double> f_out =
+          f_net_->forward_batch(xbatch, f_btape);
+      ml::Tensor<const double> g_out;
+      if (g_net_) g_out = g_net_->forward_batch(xbatch, g_btape);
+      f_gout.resize(nrows, 1);
+      if (g_net_) g_gout.resize(nrows, 1);
+      const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
+      for (std::size_t r = 0; r < nrows; ++r) {
+        const double mu = f_out(r, 0) + kMuFloor;
+        const double omega = g_net_ ? g_out(r, 0) + kOmegaFloor : constant_omega;
+        double dloss_dmu = 0.0, dloss_domega = 0.0;
+        if (meta[r].answer) {
+          epoch_nll -= std::log(mu) - omega * meta[r].value;
+          dloss_dmu = -inv / mu;
+          dloss_domega = inv * meta[r].value;
+        } else {
+          const double a = survival_integral(omega, meta[r].delta);
+          const double da = survival_integral_domega(omega, meta[r].delta);
+          epoch_nll += meta[r].value * mu * a;
+          dloss_dmu = inv * meta[r].value * a;
+          dloss_domega = inv * meta[r].value * mu * da;
+        }
+        f_gout(r, 0) = dloss_dmu;
+        if (g_net_) {
+          g_gout(r, 0) = dloss_domega;
+        } else if (config_.train_constant_omega) {
+          rho_grad += dloss_domega * ml::sigmoid(omega_rho_);
+        }
+      }
+      f_net_->backward_batch(f_btape, f_gout.view());
+      if (g_net_) g_net_->backward_batch(g_btape, g_gout.view());
       f_adam.step(f_net_->params(), f_net_->grads());
       if (g_net_) {
         g_adam->step(g_net_->params(), g_net_->grads());
@@ -258,39 +208,29 @@ void TimingPredictor::fit(std::span<const TimingThread> threads) {
   calibration_slope_ = 1.0;
   if (config_.calibrate) {
     std::vector<double> raw, observed;
-    if (!batched) {
-      for (const auto& thread : scaled) {
-        for (const auto& [x, delay] : thread.answers) {
-          raw.push_back(raw_estimate(mu_of(x), omega_of(x), thread.delta));
-          observed.push_back(delay);
-        }
+    // One batched forward per net over every training answer.
+    std::size_t nrows = 0;
+    for (const auto& thread : scaled) nrows += thread.answers.size();
+    ml::Matrix xall, f_mu, g_omega;
+    xall.resize(nrows, dim);
+    std::vector<double> deltas(nrows);
+    std::size_t b = 0;
+    for (const auto& thread : scaled) {
+      for (const auto& [x, delay] : thread.answers) {
+        std::copy(x.begin(), x.end(), xall.row(b).begin());
+        deltas[b] = thread.delta;
+        observed.push_back(delay);
+        ++b;
       }
-    } else {
-      // Same estimates in the same order from one batched forward per net.
-      std::size_t nrows = 0;
-      for (const auto& thread : scaled) nrows += thread.answers.size();
-      ml::Matrix xall, f_mu, g_omega;
-      xall.resize(nrows, dim);
-      std::vector<double> deltas(nrows);
-      std::size_t b = 0;
-      for (const auto& thread : scaled) {
-        for (const auto& [x, delay] : thread.answers) {
-          std::copy(x.begin(), x.end(), xall.row(b).begin());
-          deltas[b] = thread.delta;
-          observed.push_back(delay);
-          ++b;
-        }
-      }
-      f_net_->forward_batch_into(xall, f_mu);
-      if (g_net_) g_net_->forward_batch_into(xall, g_omega);
-      const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
-      raw.reserve(nrows);
-      for (std::size_t r = 0; r < nrows; ++r) {
-        const double omega_r =
-            g_net_ ? g_omega(r, 0) + kOmegaFloor : constant_omega;
-        raw.push_back(
-            raw_estimate(f_mu(r, 0) + kMuFloor, omega_r, deltas[r]));
-      }
+    }
+    f_net_->forward_batch_into(xall, f_mu);
+    if (g_net_) g_net_->forward_batch_into(xall, g_omega);
+    const double constant_omega = ml::softplus(omega_rho_) + kOmegaFloor;
+    raw.reserve(nrows);
+    for (std::size_t r = 0; r < nrows; ++r) {
+      const double omega_r =
+          g_net_ ? g_omega(r, 0) + kOmegaFloor : constant_omega;
+      raw.push_back(raw_estimate(f_mu(r, 0) + kMuFloor, omega_r, deltas[r]));
     }
     const double n = static_cast<double>(raw.size());
     const double mx = std::accumulate(raw.begin(), raw.end(), 0.0) / n;
@@ -411,60 +351,6 @@ void TimingPredictor::predict_delay_batch(ml::Tensor<const double> rows,
     const double raw = raw_estimate(mu(r, 0) + kMuFloor, omega_r, open_duration);
     out[r] = std::max(0.0, calibration_offset_ + calibration_slope_ * raw);
   }
-}
-
-void TimingPredictor::save(std::ostream& out) const {
-  FORUMCAST_CHECK_MSG(fitted(), "cannot save an unfitted TimingPredictor");
-  out.precision(17);
-  out << "forumcast-timing 1\n";
-  out << "expectation "
-      << (config_.expectation ==
-                  TimingPredictorConfig::Expectation::PaperUnnormalized
-              ? "paper"
-              : "conditional")
-      << "\n";
-  out << "calibration " << calibration_offset_ << ' ' << calibration_slope_
-      << "\n";
-  out << "mean_open " << mean_open_duration_ << "\n";
-  out << "omega " << (g_net_ ? "learned" : "constant") << ' ' << omega_rho_
-      << "\n";
-  ml::save_scaler(scaler_, out);
-  ml::save_mlp(*f_net_, out);
-  if (g_net_) ml::save_mlp(*g_net_, out);
-}
-
-TimingPredictor TimingPredictor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  FORUMCAST_CHECK_MSG(in.good() && magic == "forumcast-timing" && version == 1,
-                      "bad TimingPredictor header");
-  TimingPredictor predictor;
-  std::string token, value;
-  in >> token >> value;
-  FORUMCAST_CHECK(token == "expectation");
-  FORUMCAST_CHECK_MSG(value == "paper" || value == "conditional",
-                      "unknown expectation '" << value << "'");
-  predictor.config_.expectation =
-      value == "paper" ? TimingPredictorConfig::Expectation::PaperUnnormalized
-                       : TimingPredictorConfig::Expectation::ConditionalFirstEvent;
-  in >> token >> predictor.calibration_offset_ >> predictor.calibration_slope_;
-  FORUMCAST_CHECK(token == "calibration" && !in.fail());
-  in >> token >> predictor.mean_open_duration_;
-  FORUMCAST_CHECK(token == "mean_open" && !in.fail());
-  std::string omega_kind;
-  in >> token >> omega_kind >> predictor.omega_rho_;
-  FORUMCAST_CHECK(token == "omega" && !in.fail());
-  FORUMCAST_CHECK_MSG(omega_kind == "learned" || omega_kind == "constant",
-                      "unknown omega kind '" << omega_kind << "'");
-  predictor.config_.learn_omega = (omega_kind == "learned");
-  predictor.scaler_ = ml::load_scaler(in);
-  predictor.f_net_ = std::make_unique<ml::Mlp>(ml::load_mlp(in));
-  if (predictor.config_.learn_omega) {
-    predictor.g_net_ = std::make_unique<ml::Mlp>(ml::load_mlp(in));
-  }
-  predictor.fitted_ = true;
-  return predictor;
 }
 
 void TimingPredictor::encode(artifact::Encoder& enc) const {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -44,13 +43,6 @@ struct TimingPredictorConfig {
   std::size_t epochs = 60;
   std::size_t batch_threads = 8;
   std::uint64_t seed = 23;
-  /// Training threads: >1 flattens each minibatch's event rows into one
-  /// matrix and runs both rate networks as blocked-GEMM batch forwards and
-  /// backwards (one forward per net per row instead of the serial loop's
-  /// two), 1 = the per-sample serial loop. The gemm path visits rows in the
-  /// serial order under the pinned fmadd contraction, so the fitted model is
-  /// bit-equal either way — the knob only changes execution layout.
-  std::size_t threads = 1;
 
   enum class Expectation { PaperUnnormalized, ConditionalFirstEvent };
   Expectation expectation = Expectation::ConditionalFirstEvent;
@@ -115,13 +107,10 @@ class TimingPredictor {
 
   bool fitted() const { return fitted_; }
 
-  /// Persistence: scaler, f/g networks (or the constant-ω parameter), the
-  /// estimator choice, calibration, and the mean open duration.
-  void save(std::ostream& out) const;
-  static TimingPredictor load(std::istream& in);
-
   /// Model-bundle codec covering the full point-process parametrization
-  /// (μ via f_Θ, ω via g_Θ or the constant-ω ρ); bit-identical predictions.
+  /// (scaler, μ via f_Θ, ω via g_Θ or the constant-ω ρ, the estimator
+  /// choice, calibration, and the mean open duration); bit-identical
+  /// predictions.
   void encode(artifact::Encoder& enc) const;
   static TimingPredictor decode(artifact::Decoder& dec);
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -30,12 +29,6 @@ struct VotePredictorConfig {
   std::uint64_t seed = 17;
   /// Targets are standardized internally; predictions are de-standardized.
   bool standardize_targets = true;
-  /// Training threads: >1 routes every minibatch through Mlp::train_batch
-  /// (blocked-GEMM forward and backward), 1 = the per-sample serial loop.
-  /// The gemm path accumulates gradients in sample order under the pinned
-  /// fmadd contraction, so the fitted model is bit-equal either way — the
-  /// knob only changes execution layout.
-  std::size_t threads = 1;
   /// Opt-in int8 inference: after fit, derive an int8 network calibrated on
   /// the scaled training rows and route predict()/predict_batch() through
   /// it. The fp32 master weights stay canonical and are what persistence
@@ -72,11 +65,8 @@ class VotePredictor {
   /// Installs a decoded int8 network (bundle load).
   void install_quantized(ml::QuantizedMlp net);
 
-  /// Persistence: scaler, network, and the target de-standardization.
-  void save(std::ostream& out) const;
-  static VotePredictor load(std::istream& in);
-
-  /// Model-bundle codec; a decoded predictor is bit-identical in prediction.
+  /// Model-bundle codec (scaler, network, and the target
+  /// de-standardization); a decoded predictor is bit-identical in prediction.
   void encode(artifact::Encoder& enc) const;
   static VotePredictor decode(artifact::Decoder& dec);
 

@@ -14,6 +14,7 @@
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace forumcast::features {
 
@@ -420,7 +421,10 @@ void FeatureExtractor::stream_refresh() {
   topics_dirty_.clear();
 
   if (graph_dirty_) {
-    FORUMCAST_SPAN_NAMED(span, "features.stream_centrality_refresh");
+    FORUMCAST_SPAN("features.stream_centrality_refresh");
+    // Timed independently of the span, which reports 0 when spans are not
+    // being collected.
+    const util::Timer refresh_timer;
     const std::size_t threads = util::default_thread_count();
     if (config_.centrality.mode == graph::CentralityMode::kExact) {
       refresh_centrality_full(threads);
@@ -431,7 +435,7 @@ void FeatureExtractor::stream_refresh() {
     dense_new_edges_.clear();
     graph_dirty_ = false;
     FORUMCAST_HISTOGRAM_OBSERVE("features.centrality_refresh_ms",
-                                span.elapsed_seconds() * 1e3, 0.1, 1, 10, 100,
+                                refresh_timer.milliseconds(), 0.1, 1, 10, 100,
                                 1000, 10000);
   }
 }

@@ -1,26 +1,15 @@
-// Model persistence.
-//
-// Two formats live here:
-//
-//  - A small line-oriented *text* format ("forumcast-<kind> 1" magic line,
-//    kind-specific fields). Human-inspectable; doubles are written via
-//    std::to_chars shortest-round-trip so -0.0, denormals, and
-//    max-precision values survive exactly. Loaders validate magic, every
-//    dimension, and every value (NaN/Inf and malformed tokens are rejected)
-//    and throw util::CheckError naming the offending field — a truncated
-//    stream can never silently yield default-initialized parameters.
-//
-//  - Binary *artifact* codecs (encode_*/decode_*) speaking the
-//    artifact::Encoder/Decoder protocol, used by the model bundle
-//    (ForecastPipeline::save/load). Doubles travel as raw IEEE bits, so a
-//    decoded model predicts bit-identically to the one encoded.
+// Model persistence: binary *artifact* codecs (encode_*/decode_*) speaking
+// the artifact::Encoder/Decoder protocol. The model bundle
+// (ForecastPipeline::save/load) is the only model format; doubles travel as
+// raw IEEE bits, so a decoded model predicts bit-identically to the one
+// encoded, and every decoder validates dimensions and values (NaN/Inf,
+// truncation) with the offending field named.
 //
 // Covers every trainable piece a deployment ships without retraining: MLPs,
 // scalers, logistic/Poisson regressions, the matrix-factorization and
 // SPARFA baselines, and Adam optimizer state (resumable fits).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "artifact/artifact.hpp"
@@ -35,20 +24,11 @@
 
 namespace forumcast::ml {
 
-void save_mlp(const Mlp& model, std::ostream& out);
-Mlp load_mlp(std::istream& in);
-
-void save_scaler(const StandardScaler& scaler, std::ostream& out);
-StandardScaler load_scaler(std::istream& in);
-
-void save_logistic(const LogisticRegression& model, std::ostream& out);
-LogisticRegression load_logistic(std::istream& in);
-
 /// Parses an activation name written by activation_name(); throws on unknown.
 Activation activation_from_name(const std::string& name);
 
-// Binary artifact codecs. Each decode_* reverses the matching encode_* and
-// produces a model whose predictions are bit-identical to the encoded one.
+// Each decode_* reverses the matching encode_* and produces a model whose
+// predictions are bit-identical to the encoded one.
 
 void encode_scaler(const StandardScaler& scaler, artifact::Encoder& enc);
 StandardScaler decode_scaler(artifact::Decoder& dec);

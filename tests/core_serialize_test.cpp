@@ -1,9 +1,12 @@
-// Persistence round trips for the three predictors.
+// Model-bundle codec round trips for the three predictors: a decoded
+// predictor must predict bit-identically to the one encoded.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "artifact/artifact.hpp"
 #include "core/answer_predictor.hpp"
 #include "core/timing_predictor.hpp"
 #include "core/vote_predictor.hpp"
@@ -13,23 +16,40 @@
 namespace forumcast::core {
 namespace {
 
-TEST(CoreSerialize, AnswerPredictorRoundTrip) {
-  util::Rng rng(1);
+/// Encodes `original` into one payload and decodes it back, requiring the
+/// decoder to consume every byte.
+template <typename Predictor>
+Predictor round_trip(const Predictor& original) {
+  artifact::Encoder enc;
+  original.encode(enc);
+  artifact::Decoder dec(enc.bytes(), "predictor");
+  Predictor loaded = Predictor::decode(dec);
+  dec.finish();
+  return loaded;
+}
+
+AnswerPredictor fitted_answer_predictor(std::uint64_t seed, int samples) {
+  util::Rng rng(seed);
   std::vector<std::vector<double>> rows;
   std::vector<int> labels;
-  for (int i = 0; i < 300; ++i) {
+  for (int i = 0; i < samples; ++i) {
     const double x = rng.normal();
     rows.push_back({x, rng.normal(0.0, 10.0)});
     labels.push_back(x > 0.0 ? 1 : 0);
   }
-  AnswerPredictor original;
-  original.fit(rows, labels);
-  std::stringstream buffer;
-  original.save(buffer);
-  const AnswerPredictor loaded = AnswerPredictor::load(buffer);
-  for (const auto& row : rows) {
-    EXPECT_DOUBLE_EQ(original.predict_probability(row),
-                     loaded.predict_probability(row));
+  AnswerPredictor predictor;
+  predictor.fit(rows, labels);
+  return predictor;
+}
+
+TEST(CoreSerialize, AnswerPredictorRoundTrip) {
+  const AnswerPredictor original = fitted_answer_predictor(1, 300);
+  const AnswerPredictor loaded = round_trip(original);
+  util::Rng rng(2);
+  for (int i = 0; i < 50; ++i) {
+    const std::vector<double> row = {rng.normal(), rng.normal(0.0, 10.0)};
+    EXPECT_EQ(original.predict_probability(row),
+              loaded.predict_probability(row));
   }
 }
 
@@ -44,11 +64,9 @@ TEST(CoreSerialize, VotePredictorRoundTrip) {
   }
   VotePredictor original({.epochs = 40, .seed = 5});
   original.fit(rows, targets);
-  std::stringstream buffer;
-  original.save(buffer);
-  const VotePredictor loaded = VotePredictor::load(buffer);
+  const VotePredictor loaded = round_trip(original);
   for (const auto& row : rows) {
-    EXPECT_DOUBLE_EQ(original.predict(row), loaded.predict(row));
+    EXPECT_EQ(original.predict(row), loaded.predict(row));
   }
 }
 
@@ -68,6 +86,20 @@ std::vector<TimingThread> tiny_timing_threads() {
   return threads;
 }
 
+void expect_same_timing(const TimingPredictor& original,
+                        const TimingPredictor& loaded, double open_duration) {
+  for (double x : {0.0, 0.3, 1.0}) {
+    const std::vector<double> features = {x, 0.5};
+    EXPECT_EQ(original.predict_delay(features, open_duration),
+              loaded.predict_delay(features, open_duration));
+    // Non-positive durations fall back to the stored mean open duration.
+    EXPECT_EQ(original.predict_delay(features, 0.0),
+              loaded.predict_delay(features, 0.0));
+    EXPECT_EQ(original.excitation(features), loaded.excitation(features));
+    EXPECT_EQ(original.decay(features), loaded.decay(features));
+  }
+}
+
 TEST(CoreSerialize, TimingPredictorRoundTripLearnedOmega) {
   TimingPredictorConfig config;
   config.epochs = 10;
@@ -75,16 +107,7 @@ TEST(CoreSerialize, TimingPredictorRoundTripLearnedOmega) {
   config.g_hidden = {8, 4};
   TimingPredictor original(config);
   original.fit(tiny_timing_threads());
-  std::stringstream buffer;
-  original.save(buffer);
-  const TimingPredictor loaded = TimingPredictor::load(buffer);
-  for (double x : {0.0, 0.3, 1.0}) {
-    const std::vector<double> features = {x, 0.5};
-    EXPECT_DOUBLE_EQ(original.predict_delay(features, 100.0),
-                     loaded.predict_delay(features, 100.0));
-    EXPECT_DOUBLE_EQ(original.excitation(features), loaded.excitation(features));
-    EXPECT_DOUBLE_EQ(original.decay(features), loaded.decay(features));
-  }
+  expect_same_timing(original, round_trip(original), 100.0);
 }
 
 TEST(CoreSerialize, TimingPredictorRoundTripConstantOmega) {
@@ -95,35 +118,48 @@ TEST(CoreSerialize, TimingPredictorRoundTripConstantOmega) {
   config.expectation = TimingPredictorConfig::Expectation::PaperUnnormalized;
   TimingPredictor original(config);
   original.fit(tiny_timing_threads());
-  std::stringstream buffer;
-  original.save(buffer);
-  const TimingPredictor loaded = TimingPredictor::load(buffer);
-  const std::vector<double> features = {1.0, 0.5};
-  EXPECT_DOUBLE_EQ(original.predict_delay(features, 50.0),
-                   loaded.predict_delay(features, 50.0));
-  EXPECT_DOUBLE_EQ(original.decay(features), loaded.decay(features));
+  const TimingPredictor loaded = round_trip(original);
+  expect_same_timing(original, loaded, 50.0);
+  // Constant ω is one shared value, not a per-pair network output.
+  EXPECT_EQ(loaded.decay(std::vector<double>{0.0, 0.5}),
+            loaded.decay(std::vector<double>{1.0, 0.1}));
 }
 
 TEST(CoreSerialize, UnfittedSaveRejected) {
-  std::stringstream buffer;
-  EXPECT_THROW(AnswerPredictor().save(buffer), util::CheckError);
-  EXPECT_THROW(VotePredictor().save(buffer), util::CheckError);
-  EXPECT_THROW(TimingPredictor().save(buffer), util::CheckError);
+  artifact::Encoder enc;
+  EXPECT_THROW(AnswerPredictor().encode(enc), util::CheckError);
+  EXPECT_THROW(VotePredictor().encode(enc), util::CheckError);
+  EXPECT_THROW(TimingPredictor().encode(enc), util::CheckError);
+  EXPECT_EQ(enc.size(), 0u);
 }
 
 TEST(CoreSerialize, CrossKindLoadRejected) {
-  util::Rng rng(9);
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (int i = 0; i < 50; ++i) {
-    rows.push_back({rng.normal()});
-    labels.push_back(i % 2);
+  const AnswerPredictor answer = fitted_answer_predictor(9, 50);
+  std::stringstream bundle;
+  {
+    artifact::Encoder enc;
+    answer.encode(enc);
+    artifact::BundleWriter writer(bundle);
+    writer.section(artifact::SectionKind::kAnswerPredictor, enc);
+    writer.finish();
   }
-  AnswerPredictor answer;
-  answer.fit(rows, labels);
-  std::stringstream buffer;
-  answer.save(buffer);
-  EXPECT_THROW(VotePredictor::load(buffer), util::CheckError);
+  const std::string bytes = bundle.str();
+  for (artifact::SectionKind wanted : {artifact::SectionKind::kVotePredictor,
+                                       artifact::SectionKind::kTimingPredictor}) {
+    std::istringstream in(bytes);
+    artifact::BundleReader reader(in);
+    EXPECT_THROW(reader.expect(wanted), util::CheckError)
+        << artifact::section_kind_name(wanted);
+  }
+  // The matching kind still decodes.
+  std::istringstream in(bytes);
+  artifact::BundleReader reader(in);
+  artifact::Decoder dec = reader.expect(artifact::SectionKind::kAnswerPredictor);
+  const AnswerPredictor loaded = AnswerPredictor::decode(dec);
+  dec.finish();
+  reader.finish();
+  const std::vector<double> row = {0.25, -3.0};
+  EXPECT_EQ(answer.predict_probability(row), loaded.predict_probability(row));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/serialize.hpp"
@@ -16,8 +16,8 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Doubles a shortest-round-trip text writer or raw-bits binary codec is
-/// most likely to mangle: signed zero, denormals, max precision.
+/// Doubles a serializer is most likely to mangle: signed zero, denormals,
+/// max precision.
 std::vector<double> nasty_doubles() {
   return {
       -0.0,
@@ -32,106 +32,48 @@ std::vector<double> nasty_doubles() {
   };
 }
 
-/// Splits serialized text on whitespace, exactly like the loader's `>>`.
-std::vector<std::string> tokenize(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
-std::string join_prefix(const std::vector<std::string>& tokens,
-                        std::size_t count) {
-  std::string out;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0) out += ' ';
-    out += tokens[i];
-  }
-  return out;
-}
-
-TEST(Serialize, MlpRoundTripPreservesPredictions) {
-  Mlp original(4,
-               {{8, Activation::Tanh},
-                {5, Activation::Softplus},
-                {2, Activation::Identity}},
-               123);
-  std::stringstream buffer;
-  save_mlp(original, buffer);
-  const Mlp loaded = load_mlp(buffer);
-
-  EXPECT_EQ(loaded.input_dim(), original.input_dim());
-  EXPECT_EQ(loaded.output_dim(), original.output_dim());
-  EXPECT_EQ(loaded.layer_count(), original.layer_count());
-
-  util::Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(4);
-    for (double& v : x) v = rng.normal();
-    const auto a = original.forward(x);
-    const auto b = loaded.forward(x);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-  }
-}
-
 TEST(Serialize, MlpActivationNamesRoundTrip) {
   for (Activation act : {Activation::Identity, Activation::ReLU,
                          Activation::Tanh, Activation::Sigmoid,
                          Activation::Softplus}) {
     EXPECT_EQ(activation_from_name(activation_name(act)), act);
+    // Every activation survives the MLP codec, which stores it by name.
+    Mlp original(2, {{3, act}, {1, Activation::Identity}}, 9);
+    artifact::Encoder enc;
+    encode_mlp(original, enc);
+    artifact::Decoder dec(enc.bytes(), "mlp");
+    const Mlp loaded = decode_mlp(dec);
+    dec.finish();
+    EXPECT_EQ(loaded.layers().front().activation, act);
   }
   EXPECT_THROW(activation_from_name("swish"), util::CheckError);
 }
 
 TEST(Serialize, MlpRejectsCorruptHeader) {
-  std::stringstream buffer("forumcast-mlp 2\n");
-  EXPECT_THROW(load_mlp(buffer), util::CheckError);
-  std::stringstream wrong("forumcast-scaler 1\n");
-  EXPECT_THROW(load_mlp(wrong), util::CheckError);
-  std::stringstream truncated("forumcast-mlp 1\ninput 3\nlayers 1\n4 relu\nparams 16\n1 2 3");
-  EXPECT_THROW(load_mlp(truncated), util::CheckError);
-}
-
-TEST(Serialize, ScalerRoundTrip) {
-  util::Rng rng(3);
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 200; ++i) {
-    rows.push_back({rng.normal(10.0, 3.0), rng.normal(-2.0, 0.1)});
+  // Hand-built encode_mlp payloads: input dim, layer count, per-layer
+  // (units, activation name), then the parameter vector.
+  auto payload = [](std::uint64_t layers, std::uint64_t units,
+                    const char* activation, std::size_t params) {
+    artifact::Encoder enc;
+    enc.u64(3);
+    enc.u64(layers);
+    for (std::uint64_t l = 0; l < layers; ++l) {
+      enc.u64(units);
+      enc.str(activation);
+    }
+    enc.f64s(std::vector<double>(params, 0.5), "mlp params");
+    return enc.bytes();
+  };
+  // 3 inputs -> 4 relu units: 3·4 weights + 4 biases.
+  {
+    artifact::Decoder dec(payload(1, 4, "relu", 16), "mlp");
+    EXPECT_NO_THROW(decode_mlp(dec));
   }
-  StandardScaler original;
-  original.fit(rows);
-  std::stringstream buffer;
-  save_scaler(original, buffer);
-  const StandardScaler loaded = load_scaler(buffer);
-  const std::vector<double> x = {11.0, -2.05};
-  EXPECT_EQ(original.transform(x), loaded.transform(x));
-}
-
-TEST(Serialize, ScalerRejectsUnfitted) {
-  StandardScaler unfitted;
-  std::stringstream buffer;
-  EXPECT_THROW(save_scaler(unfitted, buffer), util::CheckError);
-}
-
-TEST(Serialize, LogisticRoundTrip) {
-  util::Rng rng(5);
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (int i = 0; i < 300; ++i) {
-    const double x = rng.normal();
-    rows.push_back({x, rng.normal()});
-    labels.push_back(x > 0 ? 1 : 0);
-  }
-  LogisticRegression original({.epochs = 40});
-  original.fit(rows, labels);
-  std::stringstream buffer;
-  save_logistic(original, buffer);
-  const LogisticRegression loaded = load_logistic(buffer);
-  for (const auto& row : rows) {
-    EXPECT_DOUBLE_EQ(original.predict_probability(row),
-                     loaded.predict_probability(row));
+  for (const std::string& bad :
+       {payload(0, 4, "relu", 16), payload(1, 0, "relu", 16),
+        payload(1, 4, "swish", 16), payload(1, 4, "relu", 15)}) {
+    artifact::Decoder dec(bad, "mlp");
+    EXPECT_THROW(decode_mlp(dec), util::CheckError);
   }
 }
 
@@ -147,80 +89,6 @@ TEST(Serialize, FromParametersValidation) {
   EXPECT_THROW(LogisticRegression::from_parameters({}, 0.0), util::CheckError);
   const auto model = LogisticRegression::from_parameters({1.0}, 0.0);
   EXPECT_DOUBLE_EQ(model.predict_probability(std::vector<double>{0.0}), 0.5);
-}
-
-TEST(Serialize, TextWorstCaseDoublesRoundTripBitExactly) {
-  // The to_chars shortest-round-trip writer must reproduce the exact bits,
-  // including the sign of -0.0 and full denormal precision.
-  const std::vector<double> weights = nasty_doubles();
-  const auto original = LogisticRegression::from_parameters(
-      weights, std::numeric_limits<double>::denorm_min());
-  std::stringstream buffer;
-  save_logistic(original, buffer);
-  const auto loaded = load_logistic(buffer);
-  ASSERT_EQ(loaded.weights().size(), weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_EQ(bits(loaded.weights()[i]), bits(weights[i])) << "weight " << i;
-  }
-  EXPECT_EQ(bits(loaded.bias()), bits(original.bias()));
-  EXPECT_TRUE(std::signbit(loaded.weights()[0]));
-}
-
-TEST(Serialize, TextLoadRejectsNonFiniteNamingField) {
-  std::stringstream bad_bias(
-      "forumcast-logistic 1\ndim 1\nbias nan\n1.0\n");
-  try {
-    load_logistic(bad_bias);
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("logistic bias"), std::string::npos) << what;
-    EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
-  }
-  std::stringstream bad_weight(
-      "forumcast-logistic 1\ndim 2\nbias 0.5\n1.0 inf\n");
-  EXPECT_THROW(load_logistic(bad_weight), util::CheckError);
-  std::stringstream bad_mean(
-      "forumcast-scaler 1\ndim 1\n-inf\n1.0\n");
-  EXPECT_THROW(load_scaler(bad_mean), util::CheckError);
-}
-
-TEST(Serialize, MlpTextTruncatedAtEveryTokenBoundary) {
-  Mlp model(3, {{4, Activation::ReLU}, {1, Activation::Identity}}, 11);
-  std::stringstream buffer;
-  save_mlp(model, buffer);
-  const auto tokens = tokenize(buffer.str());
-  ASSERT_GT(tokens.size(), 5u);
-  for (std::size_t count = 0; count < tokens.size(); ++count) {
-    std::stringstream truncated(join_prefix(tokens, count));
-    EXPECT_THROW(load_mlp(truncated), util::CheckError)
-        << "prefix of " << count << " tokens loaded";
-  }
-  std::stringstream whole(join_prefix(tokens, tokens.size()));
-  EXPECT_NO_THROW(load_mlp(whole));
-}
-
-TEST(Serialize, ScalerAndLogisticTextTruncatedAtEveryTokenBoundary) {
-  const auto scaler = StandardScaler::from_moments({1.0, -2.0}, {0.5, 4.0});
-  std::stringstream scaler_buffer;
-  save_scaler(scaler, scaler_buffer);
-  const auto scaler_tokens = tokenize(scaler_buffer.str());
-  for (std::size_t count = 0; count < scaler_tokens.size(); ++count) {
-    std::stringstream truncated(join_prefix(scaler_tokens, count));
-    EXPECT_THROW(load_scaler(truncated), util::CheckError)
-        << "prefix of " << count << " tokens loaded";
-  }
-
-  const auto logistic =
-      LogisticRegression::from_parameters({0.25, -0.75}, 0.125);
-  std::stringstream logistic_buffer;
-  save_logistic(logistic, logistic_buffer);
-  const auto logistic_tokens = tokenize(logistic_buffer.str());
-  for (std::size_t count = 0; count < logistic_tokens.size(); ++count) {
-    std::stringstream truncated(join_prefix(logistic_tokens, count));
-    EXPECT_THROW(load_logistic(truncated), util::CheckError)
-        << "prefix of " << count << " tokens loaded";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,18 +112,43 @@ TEST(Serialize, BinaryScalerRoundTripBitExact) {
 }
 
 TEST(Serialize, BinaryLogisticRoundTripBitExact) {
-  const auto original =
-      LogisticRegression::from_parameters(nasty_doubles(), -0.0);
-  artifact::Encoder enc;
-  encode_logistic(original, enc);
-  artifact::Decoder dec(enc.bytes(), "logistic");
-  const auto loaded = decode_logistic(dec);
-  dec.finish();
-  ASSERT_EQ(loaded.weights().size(), original.weights().size());
-  for (std::size_t i = 0; i < original.weights().size(); ++i) {
-    EXPECT_EQ(bits(loaded.weights()[i]), bits(original.weights()[i]));
+  for (double bias : {-0.0, std::numeric_limits<double>::denorm_min()}) {
+    const auto original =
+        LogisticRegression::from_parameters(nasty_doubles(), bias);
+    artifact::Encoder enc;
+    encode_logistic(original, enc);
+    artifact::Decoder dec(enc.bytes(), "logistic");
+    const auto loaded = decode_logistic(dec);
+    dec.finish();
+    ASSERT_EQ(loaded.weights().size(), original.weights().size());
+    for (std::size_t i = 0; i < original.weights().size(); ++i) {
+      EXPECT_EQ(bits(loaded.weights()[i]), bits(original.weights()[i]))
+          << "weight " << i;
+    }
+    EXPECT_EQ(bits(loaded.bias()), bits(bias));
+    EXPECT_TRUE(std::signbit(loaded.weights()[0]));
   }
-  EXPECT_TRUE(std::signbit(loaded.bias()));
+
+  // Non-finite values are refused on both sides, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  artifact::Encoder refused;
+  EXPECT_THROW(encode_logistic(LogisticRegression::from_parameters({1.0}, nan),
+                               refused),
+               util::CheckError);
+  for (double bad : {nan, std::numeric_limits<double>::infinity()}) {
+    artifact::Encoder enc;
+    enc.u64(bits(bad));  // raw IEEE bits in the "logistic bias" slot
+    enc.f64s(std::vector<double>{1.0}, "logistic weights");
+    artifact::Decoder dec(enc.bytes(), "logistic");
+    try {
+      decode_logistic(dec);
+      FAIL() << "expected CheckError for " << bad;
+    } catch (const util::CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("logistic bias"), std::string::npos) << what;
+      EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Serialize, BinaryMlpRoundTripBitExact) {
@@ -372,21 +265,41 @@ TEST(Serialize, BinaryEncodersRejectUnfittedModels) {
   EXPECT_THROW(encode_sparfa(Sparfa{}, enc), util::CheckError);
 }
 
-TEST(Serialize, BinaryDecodeRejectsTruncationAtEveryByte) {
-  Mlp model(2, {{3, Activation::ReLU}, {1, Activation::Identity}}, 5);
-  artifact::Encoder enc;
-  encode_mlp(model, enc);
-  const std::string whole(enc.bytes());
+/// Every strict prefix of `whole` must throw from `decode` + finish().
+template <typename Decode>
+void expect_every_prefix_rejected(const std::string& whole, Decode decode,
+                                  const char* what) {
   for (std::size_t length = 0; length < whole.size(); ++length) {
-    artifact::Decoder dec(whole.substr(0, length), "mlp");
+    artifact::Decoder dec(whole.substr(0, length), what);
     EXPECT_THROW(
         {
-          decode_mlp(dec);
+          decode(dec);
           dec.finish();
         },
         util::CheckError)
-        << "prefix of " << length << " bytes decoded";
+        << what << ": prefix of " << length << " bytes decoded";
   }
+  artifact::Decoder dec(whole, what);
+  EXPECT_NO_THROW({
+    decode(dec);
+    dec.finish();
+  }) << what;
+}
+
+TEST(Serialize, BinaryDecodeRejectsTruncationAtEveryByte) {
+  Mlp model(2, {{3, Activation::ReLU}, {1, Activation::Identity}}, 5);
+  artifact::Encoder mlp;
+  encode_mlp(model, mlp);
+  expect_every_prefix_rejected(mlp.bytes(), decode_mlp, "mlp");
+
+  artifact::Encoder scaler;
+  encode_scaler(StandardScaler::from_moments({1.0, -2.0}, {0.5, 4.0}), scaler);
+  expect_every_prefix_rejected(scaler.bytes(), decode_scaler, "scaler");
+
+  artifact::Encoder logistic;
+  encode_logistic(LogisticRegression::from_parameters({0.25, -0.75}, 0.125),
+                  logistic);
+  expect_every_prefix_rejected(logistic.bytes(), decode_logistic, "logistic");
 }
 
 }  // namespace

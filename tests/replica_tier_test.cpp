@@ -278,9 +278,23 @@ class PrimaryHarness {
 /// destruction. `serve` additionally puts a read-serving Server over it.
 class FollowerHarness {
  public:
+  /// Tag for building the follower (which runs its local bootstrap) without
+  /// starting the tail thread, so a test can inspect the bootstrapped state
+  /// before any network catch-up; call start() afterwards.
+  struct Deferred {};
+
+  FollowerHarness(std::uint16_t primary_replication_port, std::string wal_dir,
+                  Deferred)
+      : follower_(make_follower(primary_replication_port, std::move(wal_dir))) {}
+
   FollowerHarness(std::uint16_t primary_replication_port, std::string wal_dir,
                   bool serve = false)
-      : follower_(make_follower(primary_replication_port, wal_dir)) {
+      : FollowerHarness(primary_replication_port, std::move(wal_dir),
+                        Deferred{}) {
+    start(serve);
+  }
+
+  void start(bool serve = false) {
     tail_ = std::thread([this] { follower_->run(); });
     if (serve) {
       FORUMCAST_CHECK(follower_->wait_serving(30000.0));
@@ -424,12 +438,15 @@ TEST(ReplicaTier, FollowerRestartRecoversLocallyThenCatchesUp) {
   primary.ingest(
       std::span<const stream::ForumEvent>(fixture.events).subspan(half));
 
-  FollowerHarness restarted(primary.replication_port(), follower_dir);
+  FollowerHarness restarted(primary.replication_port(), follower_dir,
+                            FollowerHarness::Deferred{});
   // Local bootstrap happens in the constructor, before any network round
   // trip — the WAL it wrote before the crash restores seq `half` exactly.
+  // The tail thread is not running yet, so catch-up cannot race the check.
   EXPECT_EQ(restarted.follower().applied_seq(), half);
   EXPECT_EQ(restarted.follower().status().digest, digest_at_half);
 
+  restarted.start();
   ASSERT_TRUE(restarted.follower().wait_applied(primary.last_seq(), 30000.0));
   ASSERT_TRUE(wait_until(
       [&] { return restarted.follower().status().digest == primary.digest(); },

@@ -24,6 +24,7 @@
 #include "core/pipeline.hpp"
 #include "features/extractor.hpp"
 #include "forum/generator.hpp"
+#include "obs/obs.hpp"
 #include "serve/batch_scorer.hpp"
 #include "stream/live_state.hpp"
 #include "stream/split.hpp"
@@ -541,6 +542,30 @@ TEST(StreamLive, DigestTracksEveryEvent) {
     previous = current;
   }
 }
+
+#if FORUMCAST_OBS_ENABLED
+TEST(StreamLive, CentralityRefreshIsTimedWithoutSpanCollection) {
+  // features.centrality_refresh_ms must measure the refresh even when no
+  // trace is being collected (the default in production).
+  obs::TraceCollector::global().set_enabled(false);
+  LiveCase c;
+  LiveState live(c.pipeline, c.base);
+  obs::Histogram& refresh = obs::MetricsRegistry::global().histogram(
+      "features.centrality_refresh_ms", {0.1, 1, 10, 100, 1000, 10000});
+  const obs::Histogram::Snapshot before = refresh.snapshot();
+  // Stream one event at a time until one adds a graph edge and so triggers
+  // a centrality refresh.
+  std::size_t i = 0;
+  while (i < c.events.size() &&
+         refresh.snapshot().total_count == before.total_count) {
+    live.ingest(std::span<const ForumEvent>(c.events).subspan(i++, 1));
+  }
+  const obs::Histogram::Snapshot after = refresh.snapshot();
+  ASSERT_EQ(after.total_count, before.total_count + 1)
+      << "no edge-adding event in " << c.events.size() << " events";
+  EXPECT_GT(after.sum, before.sum);
+}
+#endif  // FORUMCAST_OBS_ENABLED
 
 }  // namespace
 }  // namespace forumcast::stream
