@@ -22,8 +22,8 @@
 // accumulation is exact, so a sample scored alone is bit-identical to the
 // same sample scored inside any batch — the scalar/batch digest parity the
 // serving path CHECKs survives quantization. For the same reason every
-// gemm_s8 variant (scalar, AVX2, AVX-512 VNNI) returns identical bits: they
-// differ only in how they schedule exact integer adds.
+// gemm_s8 kernel (scalar, AVX2, packed AVX-512 VNNI) returns identical bits:
+// they differ only in how they schedule exact integer adds.
 //
 // Weight rows are stored padded with zeros to a multiple of kPad so the SIMD
 // kernels need no tail handling; zero products are exact no-ops.
@@ -42,8 +42,8 @@ namespace forumcast::ml {
 
 /// c(n×m) = a(n×k) · b(m×k)^T in exact int32 arithmetic. Row strides
 /// lda/ldb/ldc are in elements; k must cover any zero padding shared by both
-/// operands. All variants are bit-identical; gemm_s8 dispatches to the
-/// widest instruction set the CPU supports.
+/// operands. All kernels are bit-identical; gemm_s8 dispatches to the widest
+/// row-major kernel the CPU supports (AVX2 at most).
 using GemmS8Fn = void (*)(std::size_t n, std::size_t m, std::size_t k,
                           const std::int8_t* a, std::size_t lda,
                           const std::int8_t* b, std::size_t ldb,
@@ -53,14 +53,29 @@ void gemm_s8_scalar(std::size_t n, std::size_t m, std::size_t k,
                     const std::int8_t* a, std::size_t lda, const std::int8_t* b,
                     std::size_t ldb, std::int32_t* c, std::size_t ldc);
 
-/// The variant selected for this CPU at first use.
+/// The row-major kernel selected for this CPU at first use.
 GemmS8Fn gemm_s8();
-/// Name of the selected variant ("scalar", "avx2", "avx512vnni").
+/// Name of the kernel QuantizedMlp's forward runs on this CPU: "scalar",
+/// "avx2", or "avx512vnni" (gemm_s8u_vnni_packed below).
 const char* gemm_s8_variant();
+
+#if defined(__AVX512VNNI__) && defined(__AVX512BW__) && defined(__AVX512F__)
+#define FORUMCAST_GEMM_S8_PACKED 1
+/// The serving kernel on VNNI CPUs (the caller checks the CPU supports
+/// avx512vnni): c(n×m) = a · Wᵀ for one QuantizedLayer, with `packed` and
+/// `row_sums` its packed / packed_row_sums, k its padded_k and k_used its
+/// fan_in. `a` holds +128-biased rows (each int8 x stored as x ^ 0x80).
+/// Bit-identical to gemm_s8_scalar on the unbiased rows and the row-major
+/// weights.
+void gemm_s8u_vnni_packed(std::size_t n, std::size_t m, std::size_t k_used,
+                          std::size_t k, const std::int8_t* a, std::size_t lda,
+                          const std::int8_t* packed, std::int32_t* c,
+                          std::size_t ldc, const std::int32_t* row_sums);
+#endif
 
 /// One quantized layer: padded int8 weights plus everything needed to
 /// dequantize. `weights` is units × padded_k row-major; `row_sums[u]` is the
-/// exact Σ_i q[u][i] (used by the VNNI unsigned-offset trick).
+/// exact Σ_i q[u][i] (the packed kernel's unsigned-offset correction).
 struct QuantizedLayer {
   std::size_t units = 0;
   std::size_t fan_in = 0;

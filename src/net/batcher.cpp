@@ -50,7 +50,6 @@ MicroBatcher::MicroBatcher(serve::BatchScorer& scorer,
       on_complete_(std::move(on_complete)) {
   FORUMCAST_CHECK(config_.max_batch_requests >= 1);
   FORUMCAST_CHECK(config_.max_queue >= 1);
-  FORUMCAST_CHECK(config_.max_delay_ms >= 0.0);
   const std::size_t threads = std::max<std::size_t>(1, config_.threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -88,23 +87,15 @@ void MicroBatcher::stop() {
 }
 
 void MicroBatcher::worker_loop() {
-  const auto max_delay = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(config_.max_delay_ms));
   for (;;) {
     std::vector<Item> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and fully drained
-      // Micro-batching: hold the batch open until it fills or the oldest
-      // request has waited max_delay. When stopping, drain immediately —
-      // nothing new is coming.
-      const auto deadline = queue_.front().enqueued + max_delay;
-      ready_.wait_until(lock, deadline, [this] {
-        return stopping_ || queue_.size() >= config_.max_batch_requests;
-      });
-      if (queue_.empty()) return;
+      // Work-conserving: take whatever is queued right now. Requests that
+      // arrive while this batch is being scored form the next one, so
+      // batches grow only under backlog and a lone request never waits.
       const std::size_t take =
           std::min(queue_.size(), config_.max_batch_requests);
       batch.assign(std::make_move_iterator(queue_.begin()),
@@ -132,30 +123,22 @@ void MicroBatcher::process(std::vector<Item> batch) {
   for (auto& [question, group] : score_groups) {
     score_group(question, group);
   }
-  for (Item& item : batch) {
+  for (const Item& item : batch) {
     switch (item.request.kind) {
       case MessageKind::kScoreRequest:
         break;  // answered by score_group above
       case MessageKind::kRouteRequest:
-        on_complete_(item.conn_id, handle_route(item));
+        complete(item, handle_route(item));
         break;
       case MessageKind::kSwapRequest:
-        on_complete_(item.conn_id, handle_swap(item));
+        complete(item, handle_swap(item));
         break;
       default:
-        on_complete_(item.conn_id,
-                     encode_error(item.request.request_id,
-                                  ErrorCode::kUnknownKind,
-                                  "kind not handled by the batcher"));
+        complete(item, encode_error(item.request.request_id,
+                                    ErrorCode::kUnknownKind,
+                                    "kind not handled by the batcher"));
         break;
     }
-    const double waited_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - item.enqueued)
-            .count();
-    FORUMCAST_HISTOGRAM_OBSERVE("net.request_ms", waited_ms, 0.05, 0.1, 0.25,
-                                0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-                                250.0);
   }
 #if FORUMCAST_OBS_ENABLED
   // SLO view: admission-to-completion latency quantiles, refreshed per
@@ -164,6 +147,18 @@ void MicroBatcher::process(std::vector<Item> batch) {
   FORUMCAST_GAUGE_SET("net.request_p50_ms", latency.quantile(0.5));
   FORUMCAST_GAUGE_SET("net.request_p99_ms", latency.quantile(0.99));
 #endif
+}
+
+void MicroBatcher::complete(const Item& item, std::string frame) {
+  // Observed before the frame is handed back, so a client holding its
+  // response also finds its request in a metrics snapshot.
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - item.enqueued)
+                               .count();
+  FORUMCAST_HISTOGRAM_OBSERVE("net.request_ms", waited_ms, 0.05, 0.1, 0.25,
+                              0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+                              250.0);
+  on_complete_(item.conn_id, std::move(frame));
 }
 
 void MicroBatcher::score_group(forum::QuestionId question,
@@ -198,9 +193,8 @@ void MicroBatcher::score_group(forum::QuestionId question,
     }
     if (!problem.empty()) {
       FORUMCAST_COUNTER_ADD("net.bad_requests", 1);
-      on_complete_(item->conn_id,
-                   encode_error(request.request_id, ErrorCode::kBadRequest,
-                                std::move(problem)));
+      complete(*item, encode_error(request.request_id, ErrorCode::kBadRequest,
+                                   std::move(problem)));
     } else {
       valid.push_back(item);
     }
@@ -234,13 +228,12 @@ void MicroBatcher::score_group(forum::QuestionId question,
       offset += item->request.users.size();
       std::string frame;
       append_frame(frame, response);
-      on_complete_(item->conn_id, std::move(frame));
+      complete(*item, std::move(frame));
     }
   } catch (const std::exception& error) {
     for (const Item* item : valid) {
-      on_complete_(item->conn_id,
-                   encode_error(item->request.request_id, ErrorCode::kInternal,
-                                error.what()));
+      complete(*item, encode_error(item->request.request_id,
+                                   ErrorCode::kInternal, error.what()));
     }
   }
 }

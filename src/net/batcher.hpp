@@ -4,9 +4,12 @@
 // The serving daemon's throughput story: single-pair scoring costs a full
 // feature assembly + three scalar model forwards, while BatchScorer
 // amortizes both across a block of rows. Wire requests arrive a few
-// candidates at a time, so the batcher holds each request for at most
-// `max_delay_ms`, groups everything pending for the same question into one
-// score() call (the cached question block and the GEMM tiles are shared),
+// candidates at a time. The batcher has no timer: an idle worker takes
+// whatever is queued the moment a request arrives, so a lone request is
+// scored at once. Requests that arrive while a batch is being scored queue
+// up and form the next batch, so coalescing grows with backlog by itself.
+// Each batch groups everything pending for the same question into one
+// score() call (the cached question block and the GEMM tiles are shared)
 // and answers every request from its slice of the batch. Scores are
 // bit-identical to an unbatched call — coalescing, like batching itself,
 // is purely an execution-layout change.
@@ -40,10 +43,6 @@ struct BatcherConfig {
   /// Most requests drained per wake. Bounds the rows one score() pass
   /// assembles and the tail latency a drain adds to its last request.
   std::size_t max_batch_requests = 256;
-  /// Longest a request may wait for company before the batch is forced out.
-  /// The admission-to-completion p99 stays within this bound plus one
-  /// batch's scoring time whenever the queue is admitting.
-  double max_delay_ms = 1.0;
   /// Admission bound on queued requests; try_submit() refuses beyond it.
   std::size_t max_queue = 4096;
   /// Scoring worker threads.
@@ -110,6 +109,9 @@ class MicroBatcher {
  private:
   void worker_loop();
   void process(std::vector<Item> batch);
+  /// Records `item`'s admission-to-completion latency, then hands `frame`
+  /// to the CompletionFn.
+  void complete(const Item& item, std::string frame);
   void score_group(forum::QuestionId question, std::vector<Item*>& group);
   std::string handle_route(const Item& item);
   std::string handle_swap(const Item& item);

@@ -66,6 +66,16 @@ int make_loopback_listener(std::uint16_t port, std::uint16_t& bound_port) {
   return fd;
 }
 
+/// A primary's progress as the replication source alone knows it: no
+/// digest, no lock on the serving state.
+ReplicaStatusInfo primary_progress(ReplicationSource& source) {
+  ReplicaStatusInfo info;
+  info.role = 1;
+  info.head_seq = source.head_seq();
+  info.applied_seq = info.head_seq;
+  return info;
+}
+
 }  // namespace
 
 Server::Server(serve::BatchScorer& scorer, const forum::Dataset& dataset,
@@ -416,9 +426,7 @@ void Server::dispatch(Connection& conn, Message request) {
       if (config_.status_fn) {
         response.replica = config_.status_fn();
       } else if (config_.replication != nullptr) {
-        response.replica.role = 1;
-        response.replica.head_seq = config_.replication->head_seq();
-        response.replica.applied_seq = response.replica.head_seq;
+        response.replica = primary_progress(*config_.replication);
       }
       respond(conn, response);
       break;
@@ -556,13 +564,10 @@ void Server::handle_heartbeat(Connection& conn, const Message& request) {
   Message response;
   response.kind = MessageKind::kReplicaStatusResponse;
   response.request_id = request.request_id;
-  if (config_.status_fn) {
-    response.replica = config_.status_fn();
-  } else if (config_.replication != nullptr) {
-    response.replica.role = 1;
-    response.replica.head_seq = config_.replication->head_seq();
-    response.replica.applied_seq = response.replica.head_seq;
-  }
+  // Followers read only head_seq from the reply. status_fn is not called:
+  // on a primary it digests the whole live state under the reader lock, on
+  // this thread, once per heartbeat per follower.
+  response.replica = primary_progress(*config_.replication);
   respond(conn, response);
   // The heartbeat doubles as a nudge: if new events became durable while
   // the follower's buffer was full, resume the stream now.

@@ -58,9 +58,11 @@ struct ServerConfig {
   ReplicationSource* replication = nullptr;
   std::uint16_t replication_port = 0;
 
-  /// Answers kReplicaStatusRequest (any connection). Unset reports a
-  /// standalone role with zeroed progress. Called on the event-loop
-  /// thread; may take the serving state's reader lock.
+  /// Answers kReplicaStatusRequest (any connection). Unset reports the
+  /// replication source's head as a primary's progress, or a standalone
+  /// role with zeroed progress. Called on the event-loop thread; may take
+  /// the serving state's reader lock. Follower heartbeats never call it:
+  /// they are answered from replication->head_seq() alone.
   std::function<ReplicaStatusInfo()> status_fn;
 };
 

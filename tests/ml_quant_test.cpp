@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -36,24 +37,68 @@ std::vector<std::int8_t> random_int8(util::Rng& rng, std::size_t count) {
   return values;
 }
 
+// Shapes cover one-vector, narrow, and multi-block k (kPad-multiples, as
+// QuantizedMlp always pads).
+constexpr std::array<std::array<std::size_t, 3>, 4> kGemmShapes = {{
+    {1, 1, 64}, {3, 20, 64}, {7, 21, 128}, {16, 20, 192}}};
+
 TEST(GemmS8, DispatchedKernelMatchesScalarBitForBit) {
-  // Shapes cover one-vector, narrow, and multi-block k (kPad-multiples, as
-  // QuantizedMlp always pads).
   util::Rng rng(42);
-  for (const auto [n, m, k] :
-       {std::array<std::size_t, 3>{1, 1, 64},
-        std::array<std::size_t, 3>{3, 20, 64},
-        std::array<std::size_t, 3>{7, 21, 128},
-        std::array<std::size_t, 3>{16, 20, 192}}) {
+  for (const auto [n, m, k] : kGemmShapes) {
     const auto a = random_int8(rng, n * k);
     const auto b = random_int8(rng, m * k);
     std::vector<std::int32_t> expected(n * m, -1);
     std::vector<std::int32_t> got(n * m, -2);
     gemm_s8_scalar(n, m, k, a.data(), k, b.data(), k, expected.data(), m);
     gemm_s8()(n, m, k, a.data(), k, b.data(), k, got.data(), m);
-    EXPECT_EQ(expected, got) << "n=" << n << " m=" << m << " k=" << k
-                             << " variant=" << gemm_s8_variant();
+    EXPECT_EQ(expected, got) << "n=" << n << " m=" << m << " k=" << k;
   }
+}
+
+TEST(GemmS8, PackedVnniKernelMatchesScalarBitForBit) {
+#if defined(FORUMCAST_GEMM_S8_PACKED)
+  if (!__builtin_cpu_supports("avx512vnni")) {
+    GTEST_SKIP() << "CPU lacks AVX-512 VNNI";
+  }
+  // The layer's packed weights and row sums come from from_layers, the
+  // same path a bundle load takes; the fan-in (k_used) is the shape's k
+  // less a few lanes so the kernel's partial last k-group is covered too.
+  util::Rng rng(43);
+  for (const auto [n, m, k] : kGemmShapes) {
+    const std::size_t fan_in = k - 3;
+    QuantizedLayer layer;
+    layer.units = m;
+    layer.fan_in = fan_in;
+    layer.weights = random_int8(rng, m * fan_in);
+    layer.scales.assign(m, 1.0);
+    layer.bias.assign(m, 0.0);
+    layer.bias_correction.assign(m, 0.0);
+    const QuantizedMlp net = QuantizedMlp::from_layers(fan_in, {layer});
+    const QuantizedLayer& packed = net.quantized_layers().front();
+    ASSERT_EQ(packed.padded_k, k);
+
+    std::vector<std::int8_t> a(n * k, 0);
+    std::vector<std::int8_t> biased(n * k, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto row = random_int8(rng, fan_in);
+      for (std::size_t i = 0; i < k; ++i) {
+        a[r * k + i] = i < fan_in ? row[i] : 0;
+        biased[r * k + i] = static_cast<std::int8_t>(
+            static_cast<std::uint8_t>(a[r * k + i]) ^ 0x80u);
+      }
+    }
+    std::vector<std::int32_t> expected(n * m, -1);
+    std::vector<std::int32_t> got(n * m, -2);
+    gemm_s8_scalar(n, m, k, a.data(), k, packed.weights.data(), k,
+                   expected.data(), m);
+    gemm_s8u_vnni_packed(n, m, fan_in, k, biased.data(), k,
+                         packed.packed.data(), got.data(), m,
+                         packed.packed_row_sums.data());
+    EXPECT_EQ(expected, got) << "n=" << n << " m=" << m << " k=" << k;
+  }
+#else
+  GTEST_SKIP() << "built without AVX-512 VNNI";
+#endif
 }
 
 TEST(GemmS8, VariantNameIsKnown) {

@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -125,6 +125,50 @@ std::vector<forum::UserId> user_range(forum::UserId count) {
   return users;
 }
 
+/// Holds the batcher's worker still without a clock: its read_guard blocks
+/// until open(), so a worker that picked up a batch parks inside
+/// score_group/handle_route and everything submitted meanwhile stays
+/// queued. Declare an OpenOnExit after the batcher or server the gate
+/// guards, so a failed assertion cannot leave stop() waiting on a parked
+/// worker.
+class Gate {
+ public:
+  std::function<std::shared_ptr<void>()> guard() {
+    return [this] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++parked_;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return open_; });
+      return std::shared_ptr<void>();
+    };
+  }
+
+  /// Blocks until a worker is parked in guard().
+  void wait_for_parked_worker() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return parked_ > 0; });
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    changed_.notify_all();
+  }
+
+  struct OpenOnExit {
+    Gate& gate;
+    ~OpenOnExit() { gate.open(); }
+  };
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int parked_ = 0;
+  bool open_ = false;
+};
+
 TEST(NetServer, ScoreParityBitExactWithInProcessPaths) {
   NetFixture& fixture = NetFixture::instance();
   ServerHarness harness;
@@ -234,15 +278,17 @@ TEST(NetServer, BadRequestsGetTypedErrors) {
 }
 
 TEST(NetServer, BackpressurePipelinedPastQueueCap) {
-  // Tiny queue, long hold: the batcher admits at most 4 while the 200 ms
-  // micro-batch window keeps the worker from draining, so a burst of 50
-  // pipelined requests must split into some accepted and some refused with
-  // kQueueFull — and every single one gets exactly one response.
+  // Tiny queue, worker parked at the gate: the queue holds at most 4 while
+  // the worker cannot drain, so a burst of 50 pipelined requests must split
+  // into some accepted and some refused with kQueueFull — and every single
+  // one gets exactly one response.
+  Gate gate;
   BatcherConfig batcher;
   batcher.max_queue = 4;
   batcher.max_batch_requests = 64;
-  batcher.max_delay_ms = 200.0;
+  batcher.read_guard = gate.guard();
   ServerHarness harness(batcher);
+  const Gate::OpenOnExit open_on_exit{gate};
   Client client(harness.port());
 
   constexpr int kBurst = 50;
@@ -257,9 +303,16 @@ TEST(NetServer, BackpressurePipelinedPastQueueCap) {
   }
   client.send_raw(burst);
 
+  // Nothing is scored while the gate is closed, so the first response is a
+  // refusal; only then may the worker drain.
+  const Message first = client.read_frame();
+  ASSERT_EQ(first.kind, MessageKind::kErrorResponse);
+  EXPECT_EQ(first.error, ErrorCode::kQueueFull);
+  gate.open();
+
   int scored = 0;
-  int rejected = 0;
-  for (int i = 0; i < kBurst; ++i) {
+  int rejected = 1;
+  for (int i = 1; i < kBurst; ++i) {
     const Message response = client.read_frame();
     if (response.kind == MessageKind::kScoreResponse) {
       EXPECT_EQ(response.predictions.size(), 2u);
@@ -476,9 +529,10 @@ TEST(NetServer, ShutdownDrainsPipelinedRequests) {
 
 #if FORUMCAST_OBS_ENABLED
 TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
-  // Submit 8 same-question requests directly while the worker is held by
-  // the micro-batch window: they must come out of a single BatchScorer
-  // pass (one net.score_batches increment), each with its own slice.
+  // A route request parks the worker at the gate; 8 same-question requests
+  // submitted behind it queue up and, once the gate opens, must come out of
+  // a single BatchScorer pass (one net.score_batches increment — routes do
+  // not count), each with its own slice.
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
 
@@ -489,18 +543,30 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
   std::condition_variable done;
   std::vector<Message> responses;
 
+  Gate gate;
   BatcherConfig config;
-  config.max_delay_ms = 100.0;
   config.max_batch_requests = 8;
+  config.read_guard = gate.guard();
   MicroBatcher batcher(
       scorer, fixture.dataset, config,
       [&](std::uint64_t, std::string frame) {
         const DecodeFrameResult decoded = decode_frame(frame);
         ASSERT_FALSE(decoded.corrupt);
+        if (decoded.message.kind == MessageKind::kRouteResponse) return;
         std::lock_guard<std::mutex> lock(mutex);
         responses.push_back(decoded.message);
         done.notify_one();
       });
+  const Gate::OpenOnExit open_on_exit{gate};
+
+  MicroBatcher::Item blocker;
+  blocker.conn_id = 1;
+  blocker.request.kind = MessageKind::kRouteRequest;
+  blocker.request.request_id = 100;
+  blocker.request.question = 3;
+  blocker.request.users = {0, 1, 2};
+  ASSERT_TRUE(batcher.try_submit(std::move(blocker)));
+  gate.wait_for_parked_worker();
 
   for (int i = 0; i < 8; ++i) {
     MicroBatcher::Item item;
@@ -512,6 +578,8 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
                           static_cast<forum::UserId>(i + 1)};
     ASSERT_TRUE(batcher.try_submit(std::move(item)));
   }
+  EXPECT_EQ(batcher.queue_depth(), 8u);
+  gate.open();
   {
     std::unique_lock<std::mutex> lock(mutex);
     done.wait(lock, [&] { return responses.size() == 8; });
@@ -539,15 +607,17 @@ TEST(NetBatcher, CoalescesConcurrentRequestsIntoOneBatch) {
 TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
+  Gate gate;
   BatcherConfig config;
   config.max_queue = 2;
-  config.max_delay_ms = 200.0;  // hold the worker so the queue stays full
   config.max_batch_requests = 64;
+  config.read_guard = gate.guard();  // hold the worker so the queue stays full
   std::atomic<int> completions{0};
   MicroBatcher batcher(scorer, fixture.dataset, config,
                        [&](std::uint64_t, std::string) {
                          completions.fetch_add(1);
                        });
+  const Gate::OpenOnExit open_on_exit{gate};
   auto make_item = [](int i) {
     MicroBatcher::Item item;
     item.conn_id = 1;
@@ -568,6 +638,7 @@ TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
   }
   EXPECT_GE(refused, 1);
   EXPECT_GE(admitted, 2);
+  gate.open();
   batcher.stop();  // drains every admitted item
   EXPECT_EQ(completions.load(), admitted);
   // After stop, nothing is admitted.
@@ -577,10 +648,8 @@ TEST(NetBatcher, QueueBoundRefusesBeyondCapacity) {
 TEST(NetBatcher, StopDrainsEveryAdmittedRequest) {
   NetFixture& fixture = NetFixture::instance();
   serve::BatchScorer scorer(fixture.pipeline);
-  BatcherConfig config;
-  config.max_delay_ms = 500.0;  // stop() must not wait out the window
   std::atomic<int> completions{0};
-  MicroBatcher batcher(scorer, fixture.dataset, config,
+  MicroBatcher batcher(scorer, fixture.dataset, BatcherConfig{},
                        [&](std::uint64_t, std::string) {
                          completions.fetch_add(1);
                        });
@@ -593,15 +662,8 @@ TEST(NetBatcher, StopDrainsEveryAdmittedRequest) {
     item.request.users = {0, 1};
     ASSERT_TRUE(batcher.try_submit(std::move(item)));
   }
-  const auto start = std::chrono::steady_clock::now();
   batcher.stop();
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
   EXPECT_EQ(completions.load(), 12);
-  // The drain cuts the micro-batch hold short instead of sleeping it out.
-  EXPECT_LT(elapsed_ms, 450.0);
 }
 
 }  // namespace

@@ -184,6 +184,7 @@ class PrimaryHarness {
     net::ServerConfig config;
     config.replication = source_ ? source_.get() : publisher_.get();
     config.status_fn = [this] {
+      status_calls_.fetch_add(1);
       net::ReplicaStatusInfo info;
       info.role = 1;
       const std::shared_ptr<Serving> s = current();
@@ -255,6 +256,8 @@ class PrimaryHarness {
 
   std::uint64_t last_seq() const { return current()->live->last_seq(); }
   std::uint64_t digest() const { return current()->live->digest(); }
+  /// Times the server called status_fn.
+  int status_calls() const { return status_calls_.load(); }
   serve::BatchScorer& scorer() { return *scorer_; }
   net::Server& server() { return *server_; }
   std::uint16_t port() const { return server_->port(); }
@@ -267,6 +270,7 @@ class PrimaryHarness {
   mutable std::mutex state_mutex_;
   std::mutex ingest_mutex_;
   std::shared_ptr<Serving> state_;
+  std::atomic<int> status_calls_{0};
   std::unique_ptr<serve::BatchScorer> scorer_;
   std::unique_ptr<Publisher> publisher_;
   std::unique_ptr<net::ReplicationSource> source_;
@@ -414,6 +418,55 @@ TEST(ReplicaTier, StatusIsServedOverTheWire) {
   EXPECT_EQ(follower_status.role, 2);
   EXPECT_EQ(follower_status.applied_seq, primary_status.applied_seq);
   EXPECT_EQ(follower_status.digest, primary_status.digest);
+}
+
+/// Counts the server's head_seq() reads. Every answered follower heartbeat
+/// makes at least one, so a growing count shows heartbeats being served.
+class CountingSource : public net::ReplicationSource {
+ public:
+  explicit CountingSource(net::ReplicationSource* inner) : inner_(inner) {}
+
+  std::uint64_t head_seq() override {
+    head_reads_.fetch_add(1);
+    return inner_->head_seq();
+  }
+  std::string bundle_bytes() override { return inner_->bundle_bytes(); }
+  net::WalSpan events_after(std::uint64_t after_seq,
+                            std::size_t max_bytes) override {
+    return inner_->events_after(after_seq, max_bytes);
+  }
+
+  std::uint64_t head_reads() const { return head_reads_.load(); }
+
+ private:
+  net::ReplicationSource* inner_;
+  std::atomic<std::uint64_t> head_reads_{0};
+};
+
+TEST(ReplicaTier, HeartbeatsDoNotDigestThePrimary) {
+  // A follower reads only head_seq from a heartbeat reply. Answering one
+  // must not call status_fn, which on a primary digests the whole live
+  // state under the reader lock on the event-loop thread.
+  TierFixture& fixture = TierFixture::instance();
+  CountingSource* counting = nullptr;
+  PrimaryHarness primary(
+      fresh_dir("tier_heartbeat_primary"), [&](net::ReplicationSource* inner) {
+        auto source = std::make_unique<CountingSource>(inner);
+        counting = source.get();
+        return source;
+      });
+  primary.ingest(fixture.events);
+  FollowerHarness harness(primary.replication_port(),
+                          fresh_dir("tier_heartbeat_follower"));
+  Follower& follower = harness.follower();
+  ASSERT_TRUE(follower.wait_applied(primary.last_seq(), 30000.0));
+
+  // Idle through several 25 ms heartbeats.
+  const std::uint64_t reads = counting->head_reads();
+  ASSERT_TRUE(wait_until(
+      [&] { return counting->head_reads() >= reads + 8; }, 10000.0));
+  EXPECT_EQ(primary.status_calls(), 0);
+  EXPECT_EQ(follower.status().head_seq, primary.last_seq());
 }
 
 TEST(ReplicaTier, FollowerRestartRecoversLocallyThenCatchesUp) {
