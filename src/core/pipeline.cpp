@@ -1,6 +1,8 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <unordered_map>
@@ -109,16 +111,17 @@ void ForecastPipeline::fit(const forum::Dataset& dataset,
   dataset_ = &dataset;
   // Per-stage wall-clock histograms: the fit-threads knob speeds stages up
   // very unevenly (timing dominates), so per-stage timings are what the
-  // bench regressions and any perf triage actually need.
-  util::Timer stage_timer;
+  // bench regressions and any perf triage actually need. The three
+  // predictor stages overlap, so their histograms do not sum to the fit.
+  const util::Timer extractor_timer;
   {
     FORUMCAST_SPAN("pipeline.extractor_build");
     extractor_ = std::make_unique<features::FeatureExtractor>(
         dataset, history_questions, config_.extractor);
   }
   FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.extractor_build_ms",
-                              stage_timer.milliseconds(), 10, 100, 1000, 10000,
-                              60000);
+                              extractor_timer.milliseconds(), 10, 100, 1000,
+                              10000, 60000);
   last_post_time_ = dataset.last_post_time();
 
   const auto positives = dataset.answered_pairs(history_questions);
@@ -127,62 +130,75 @@ void ForecastPipeline::fit(const forum::Dataset& dataset,
                         {"history_questions", history_questions.size()},
                         {"positives", positives.size()});
 
-  // --- Answer classifier: positives + sampled negatives. ---
-  const auto negative_count = static_cast<std::size_t>(
-      static_cast<double>(positives.size()) * config_.negatives_per_positive);
-  const auto negatives = eval::sample_negative_pairs(
-      dataset, history_questions, negative_count, config_.seed ^ 0x9999ULL);
-  std::vector<std::vector<double>> answer_rows;
-  std::vector<int> answer_labels;
-  {
-    FORUMCAST_SPAN("pipeline.answer_rows");
-    for (const auto& pair : positives) {
-      answer_rows.push_back(extractor_->features(pair.user, pair.question));
-      answer_labels.push_back(1);
-    }
-    for (const auto& pair : negatives) {
-      answer_rows.push_back(extractor_->features(pair.user, pair.question));
-      answer_labels.push_back(0);
-    }
-  }
-  // Drift reference: the histogram of the very matrix the answer classifier
-  // trains on. Captured before fit() consumes the rows so serving-time PSI
-  // compares against exactly what the model saw.
-  baseline_ = features::FeatureBaseline::from_rows(answer_rows);
-
-  answer_ = AnswerPredictor(config_.answer);
-  stage_timer.reset();
-  answer_.fit(answer_rows, answer_labels);
-  FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.answer_ms",
-                              stage_timer.milliseconds(), 10, 100, 1000, 10000,
-                              60000);
-
-  // --- Vote regressor. ---
-  std::vector<std::vector<double>> vote_rows;
-  std::vector<double> vote_targets;
-  for (const auto& pair : positives) {
-    vote_rows.push_back(extractor_->features(pair.user, pair.question));
-    vote_targets.push_back(static_cast<double>(pair.votes));
-  }
-  vote_ = VotePredictor(config_.vote);
-  stage_timer.reset();
-  vote_.fit(vote_rows, vote_targets);
-  FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.vote_ms",
-                              stage_timer.milliseconds(), 10, 100, 1000, 10000,
-                              60000);
-
-  // --- Point-process timing model. ---
-  FORUMCAST_SPAN_NAMED(timing_span, "pipeline.timing_threads");
-  const auto threads = build_timing_threads(
-      dataset, *extractor_, positives, last_post_time_,
-      config_.survival_samples_per_thread, config_.seed ^ 0x7117ULL);
-  timing_span.end();
-  timing_ = TimingPredictor(config_.timing);
-  stage_timer.reset();
-  timing_.fit(threads);
-  FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.timing_ms",
-                              stage_timer.milliseconds(), 10, 100, 1000, 10000,
-                              60000);
+  // The three predictors read only the finished extractor and `positives`,
+  // draw from their own seeds, and each writes only its own members, so
+  // they train concurrently and fit the same bits as one after another.
+  const std::array<std::function<void()>, 3> stages = {
+      // --- Answer classifier: positives + sampled negatives. ---
+      [&] {
+        const auto negative_count = static_cast<std::size_t>(
+            static_cast<double>(positives.size()) *
+            config_.negatives_per_positive);
+        const auto negatives = eval::sample_negative_pairs(
+            dataset, history_questions, negative_count,
+            config_.seed ^ 0x9999ULL);
+        std::vector<std::vector<double>> answer_rows;
+        std::vector<int> answer_labels;
+        {
+          FORUMCAST_SPAN("pipeline.answer_rows");
+          for (const auto& pair : positives) {
+            answer_rows.push_back(
+                extractor_->features(pair.user, pair.question));
+            answer_labels.push_back(1);
+          }
+          for (const auto& pair : negatives) {
+            answer_rows.push_back(
+                extractor_->features(pair.user, pair.question));
+            answer_labels.push_back(0);
+          }
+        }
+        // Drift reference: the histogram of the very matrix the answer
+        // classifier trains on. Captured before fit() consumes the rows so
+        // serving-time PSI compares against exactly what the model saw.
+        baseline_ = features::FeatureBaseline::from_rows(answer_rows);
+        answer_ = AnswerPredictor(config_.answer);
+        const util::Timer timer;
+        answer_.fit(answer_rows, answer_labels);
+        FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.answer_ms",
+                                    timer.milliseconds(), 10, 100, 1000,
+                                    10000, 60000);
+      },
+      // --- Vote regressor. ---
+      [&] {
+        std::vector<std::vector<double>> vote_rows;
+        std::vector<double> vote_targets;
+        for (const auto& pair : positives) {
+          vote_rows.push_back(extractor_->features(pair.user, pair.question));
+          vote_targets.push_back(static_cast<double>(pair.votes));
+        }
+        vote_ = VotePredictor(config_.vote);
+        const util::Timer timer;
+        vote_.fit(vote_rows, vote_targets);
+        FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.vote_ms",
+                                    timer.milliseconds(), 10, 100, 1000,
+                                    10000, 60000);
+      },
+      // --- Point-process timing model. ---
+      [&] {
+        FORUMCAST_SPAN_NAMED(timing_span, "pipeline.timing_threads");
+        const auto threads = build_timing_threads(
+            dataset, *extractor_, positives, last_post_time_,
+            config_.survival_samples_per_thread, config_.seed ^ 0x7117ULL);
+        timing_span.end();
+        timing_ = TimingPredictor(config_.timing);
+        const util::Timer timer;
+        timing_.fit(threads);
+        FORUMCAST_HISTOGRAM_OBSERVE("pipeline.fit.timing_ms",
+                                    timer.milliseconds(), 10, 100, 1000,
+                                    10000, 60000);
+      },
+  };
+  util::parallel_for(stages.size(), [&](std::size_t i) { stages[i](); });
   ++generation_;
 }
 

@@ -42,7 +42,10 @@ struct PipelineConfig {
   /// N > 1 (AD-LDA sharding, deterministic for a fixed N); the gradient
   /// stages are bit-equal at any thread count. The vote and timing networks
   /// always train on gemm-backed minibatches and take no thread knob.
-  /// Values other than 1 override the per-stage thread knobs above.
+  /// Values other than 1 override the per-stage thread knobs above. At any
+  /// value, fit() runs independent stages concurrently (the extractor's
+  /// graph and topic branches; the answer, vote and timing predictors),
+  /// which changes no bit: each has its own seed and writes its own state.
   std::size_t fit_threads = 1;
 };
 

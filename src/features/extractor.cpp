@@ -1,6 +1,8 @@
 #include "features/extractor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 
 #include "forum/sln.hpp"
 #include "graph/centrality.hpp"
@@ -75,6 +77,28 @@ FeatureExtractor::FeatureExtractor(const forum::Dataset& dataset,
   std::sort(window_.begin(), window_.end());
   window_.erase(std::unique(window_.begin(), window_.end()), window_.end());
 
+  // The SLN graphs need no topics, so they build while the topic model
+  // trains. Each branch reads only the dataset and the window and writes
+  // only its own members, so the result does not depend on the overlap.
+  const std::array<std::function<void()>, 2> branches = {
+      [&] { build_topics_and_user_stats(inference_set); },
+      [&] { build_sln_graphs(inference_set); },
+  };
+  util::parallel_for(branches.size(), [&](std::size_t i) { branches[i](); });
+
+  if (build_span.active()) {
+    build_span.arg("window_questions",
+                   static_cast<double>(inference_set.size()));
+    build_span.arg("users", static_cast<double>(dataset_.num_users()));
+  }
+  FORUMCAST_LOG_INFO_KV("features.build",
+                        {"window_questions", inference_set.size()},
+                        {"users", dataset_.num_users()},
+                        {"dimension", layout_.dimension()});
+}
+
+void FeatureExtractor::build_topics_and_user_stats(
+    std::span<const forum::QuestionId> inference_set) {
   // --- Topic model over the window's posts (questions and answers). ---
   // Document ids: for each window question, its question post then answers.
   // Posts beyond the corpus cutoff stay out of the training set entirely —
@@ -86,12 +110,20 @@ FeatureExtractor::FeatureExtractor(const forum::Dataset& dataset,
   };
   std::vector<DocRef> doc_refs;
   std::vector<std::vector<text::TokenId>> documents;
+  const std::size_t num_questions = dataset_.num_questions();
+  question_word_length_.assign(num_questions, 0.0);
+  question_code_length_.assign(num_questions, 0.0);
+  // Questions whose post the corpus pass has split (and measured).
+  std::vector<std::uint8_t> question_in_corpus(num_questions, 0);
   {
     FORUMCAST_SPAN("features.tokenize_corpus");
     for (forum::QuestionId q : inference_set) {
       const forum::Thread& thread = dataset_.thread(q);
       if (thread.question.timestamp_hours <= corpus_cutoff) {
         const auto q_split = text::split_post_body(thread.question.body_html);
+        question_word_length_[q] = static_cast<double>(q_split.words.size());
+        question_code_length_[q] = static_cast<double>(q_split.code.size());
+        question_in_corpus[q] = 1;
         documents.push_back(
             vocabulary_.encode(tokenizer_.tokenize(q_split.words)));
         doc_refs.push_back({q, -1});
@@ -114,47 +146,45 @@ FeatureExtractor::FeatureExtractor(const forum::Dataset& dataset,
   auto uniform = topics::uniform_distribution(config_.num_topics);
 
   // --- Topic distribution + lengths for every dataset question. ---
-  const std::size_t num_questions = dataset_.num_questions();
   question_topics_.assign(num_questions, uniform);
-  question_word_length_.assign(num_questions, 0.0);
-  question_code_length_.assign(num_questions, 0.0);
-  std::vector<std::uint8_t> question_in_corpus(num_questions, 0);
   if (has_corpus_) {
     for (std::size_t doc = 0; doc < doc_refs.size(); ++doc) {
       if (doc_refs[doc].answer_index == -1) {
         question_topics_[doc_refs[doc].question] = lda_.document_topics(doc);
-        question_in_corpus[doc_refs[doc].question] = 1;
       }
     }
   }
-  // Lengths are cheap; fold-in inference for questions whose post is not a
-  // corpus document is not, and each question is independent (own seed), so
-  // it runs in parallel.
-  std::vector<forum::QuestionId> to_infer;
+  // Every question the corpus pass did not split is split once here for
+  // its lengths and, with a corpus, its Gibbs fold-in. Each question is
+  // independent (own seed), so it runs in parallel.
+  std::vector<forum::QuestionId> outside_corpus;
   for (forum::QuestionId q = 0; q < num_questions; ++q) {
-    const forum::Thread& thread = dataset_.thread(q);
-    const auto split = text::split_post_body(thread.question.body_html);
-    question_word_length_[q] = static_cast<double>(split.words.size());
-    question_code_length_[q] = static_cast<double>(split.code.size());
-    if (has_corpus_ && !question_in_corpus[q]) to_infer.push_back(q);
+    if (!question_in_corpus[q]) outside_corpus.push_back(q);
   }
   // In-corpus questions reuse the trained per-document distributions (cache
   // hits); everything else pays a Gibbs fold-in (cache misses).
-  FORUMCAST_COUNTER_ADD("features.topic_cache_hits",
-                        num_questions - to_infer.size());
-  FORUMCAST_COUNTER_ADD("features.topic_cache_misses", to_infer.size());
+  const std::size_t folded = has_corpus_ ? outside_corpus.size() : 0;
+  FORUMCAST_COUNTER_ADD("features.topic_cache_hits", num_questions - folded);
+  FORUMCAST_COUNTER_ADD("features.topic_cache_misses", folded);
   {
     FORUMCAST_SPAN("features.topic_fold_in");
     util::parallel_for_chunks(
-        to_infer.size(), [&](std::size_t begin, std::size_t end) {
+        outside_corpus.size(), [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            question_topics_[to_infer[i]] = fold_question_topics(to_infer[i]);
+            const forum::QuestionId q = outside_corpus[i];
+            const auto split =
+                text::split_post_body(dataset_.thread(q).question.body_html);
+            question_word_length_[q] = static_cast<double>(split.words.size());
+            question_code_length_[q] = static_cast<double>(split.code.size());
+            if (has_corpus_) {
+              question_topics_[q] = fold_question_topics(q, split.words);
+            }
           }
         });
   }
 
   // --- Per-user aggregates over the window. ---
-  FORUMCAST_SPAN_NAMED(user_stats_span, "features.user_stats");
+  FORUMCAST_SPAN("features.user_stats");
   user_stats_.assign(dataset_.num_users(), UserStats{});
   for (auto& stats : user_stats_) stats.topic_distribution = uniform;
 
@@ -238,34 +268,21 @@ FeatureExtractor::FeatureExtractor(const forum::Dataset& dataset,
   }
   global_median_response_ =
       all_delays.empty() ? 0.0 : util::median(all_delays);
-  user_stats_span.end();
+}
 
-  // --- SLN graphs and centralities over the window. ---
-  {
-    FORUMCAST_SPAN("features.sln_graphs");
-    qa_graph_ = forum::build_qa_graph(dataset_, inference_set);
-    dense_graph_ = forum::build_dense_graph(dataset_, inference_set);
-    qa_centrality_engine_ = graph::CentralityEngine(config_.centrality);
-    dense_centrality_engine_ = graph::CentralityEngine(config_.centrality);
-    refresh_centrality_full(util::default_thread_count());
-  }
-
-  if (build_span.active()) {
-    build_span.arg("window_questions",
-                   static_cast<double>(inference_set.size()));
-    build_span.arg("users", static_cast<double>(dataset_.num_users()));
-  }
-  FORUMCAST_LOG_INFO_KV("features.build",
-                        {"window_questions", inference_set.size()},
-                        {"users", dataset_.num_users()},
-                        {"dimension", layout_.dimension()});
+void FeatureExtractor::build_sln_graphs(
+    std::span<const forum::QuestionId> inference_set) {
+  FORUMCAST_SPAN("features.sln_graphs");
+  qa_graph_ = forum::build_qa_graph(dataset_, inference_set);
+  dense_graph_ = forum::build_dense_graph(dataset_, inference_set);
+  qa_centrality_engine_ = graph::CentralityEngine(config_.centrality);
+  dense_centrality_engine_ = graph::CentralityEngine(config_.centrality);
+  refresh_centrality_full(util::default_thread_count());
 }
 
 std::vector<double> FeatureExtractor::fold_question_topics(
-    forum::QuestionId q) const {
-  const auto split = text::split_post_body(dataset_.thread(q).question.body_html);
-  const auto tokens =
-      vocabulary_.encode_existing(tokenizer_.tokenize(split.words));
+    forum::QuestionId q, std::string_view words) const {
+  const auto tokens = vocabulary_.encode_existing(tokenizer_.tokenize(words));
   return lda_.infer(tokens, /*iterations=*/30, /*seed=*/0x5eedULL + q);
 }
 
@@ -282,7 +299,7 @@ void FeatureExtractor::stream_add_question(forum::QuestionId q) {
   question_word_length_.push_back(static_cast<double>(split.words.size()));
   question_code_length_.push_back(static_cast<double>(split.code.size()));
   question_topics_.push_back(
-      has_corpus_ ? fold_question_topics(q)
+      has_corpus_ ? fold_question_topics(q, split.words)
                   : topics::uniform_distribution(config_.num_topics));
 
   auto& asker_stats = user_stats_[thread.question.creator];

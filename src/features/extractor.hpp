@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -165,7 +166,16 @@ class FeatureExtractor {
   FeatureExtractor(const forum::Dataset& dataset, ExtractorConfig config,
                    DecodeTag);
 
-  std::vector<double> fold_question_topics(forum::QuestionId q) const;
+  /// The two independent halves of construction, run concurrently: the
+  /// topic model with everything derived from it (question topics and
+  /// lengths, user aggregates), and the SLN graphs with their centralities.
+  void build_topics_and_user_stats(
+      std::span<const forum::QuestionId> inference_set);
+  void build_sln_graphs(std::span<const forum::QuestionId> inference_set);
+
+  /// Gibbs fold-in of question q's topics from its post's word text.
+  std::vector<double> fold_question_topics(forum::QuestionId q,
+                                           std::string_view words) const;
 
   /// Recomputes all four centrality arrays from scratch: full Brandes in
   /// exact mode, full pivot rebuilds in sampled mode.

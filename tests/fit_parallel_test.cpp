@@ -6,13 +6,18 @@
 //  * sharded Gibbs LDA: deterministic for a FIXED thread count, with
 //    threads=1 bit-equal to the serial sampler; different thread counts give
 //    different (AD-LDA) chains that must agree statistically;
-//  * all of the above reproduce exactly across repeated runs.
+//  * all of the above reproduce exactly across repeated runs, including
+//    the whole pipeline, whose independent stages train concurrently.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
+#include "forum/generator.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/matrix.hpp"
 #include "ml/poisson_regression.hpp"
@@ -168,6 +173,46 @@ TEST(FitParallelGradients, PoissonBitEqualAtEveryThreadCount) {
           << "threads " << threads << " weight " << c;
     }
     EXPECT_EQ(parallel.bias(), serial.bias()) << "threads " << threads;
+  }
+}
+
+// ---------- overlapped pipeline stages ----------
+
+// The extractor's topic and graph branches and the three predictor stages
+// run concurrently at every fit-threads value. Each reads only const state
+// and draws from its own seed, so two fits must write the same bundle bytes.
+std::string fit_bundle(const forum::Dataset& dataset,
+                       std::span<const forum::QuestionId> history,
+                       std::size_t fit_threads) {
+  core::PipelineConfig config;
+  config.extractor.lda.iterations = 5;
+  config.answer.logistic.epochs = 10;
+  config.vote.epochs = 5;
+  config.timing.epochs = 3;
+  config.survival_samples_per_thread = 5;
+  config.fit_threads = fit_threads;
+  core::ForecastPipeline pipeline(config);
+  pipeline.fit(dataset, history);
+  std::ostringstream out;
+  pipeline.save(out);
+  return std::move(out).str();
+}
+
+TEST(FitParallelStages, TwoFitsWriteIdenticalBundles) {
+  forum::GeneratorConfig generator;
+  generator.num_users = 80;
+  generator.num_questions = 60;
+  generator.seed = 71;
+  const auto dataset = forum::generate_forum(generator).dataset.preprocessed();
+  const auto history = dataset.questions_in_days(1, 25);
+  ASSERT_FALSE(history.empty());
+  for (std::size_t threads : {1u, 4u}) {
+    const std::string first = fit_bundle(dataset, history, threads);
+    const std::string second = fit_bundle(dataset, history, threads);
+    ASSERT_FALSE(first.empty());
+    EXPECT_TRUE(first == second) << "fit-threads " << threads
+                                 << ": bundles differ (" << first.size()
+                                 << " vs " << second.size() << " bytes)";
   }
 }
 

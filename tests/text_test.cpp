@@ -89,6 +89,34 @@ TEST(Tokenizer, DropsStopwordsAndNumbers) {
   EXPECT_EQ(tokens, (std::vector<std::string>{"answer", "known"}));
 }
 
+TEST(Tokenizer, DropsEveryStopwordAndKeepsNearMisses) {
+  // The full built-in list: each word alone tokenizes to nothing.
+  const std::vector<std::string> stopwords = {
+      "a",     "an",    "and",   "are",  "as",    "at",   "be",    "but",
+      "by",    "can",   "do",    "does", "for",   "from", "get",   "has",
+      "have",  "how",   "i",     "if",   "in",    "is",   "it",    "its",
+      "just",  "like",  "me",    "my",   "no",    "not",  "of",    "on",
+      "or",    "so",    "that",  "the",  "then",  "there", "this", "to",
+      "try",   "use",   "using", "want", "was",   "we",   "what",  "when",
+      "where", "which", "while", "who",  "why",   "will", "with",  "would",
+      "you",   "your",  "am",    "any",  "been",  "did",  "dont",  "im",
+  };
+  ASSERT_EQ(stopwords.size(), 64u);
+  const Tokenizer tokenizer({.min_token_length = 1, .drop_numbers = true,
+                             .drop_stopwords = true});
+  for (const auto& word : stopwords) {
+    EXPECT_TRUE(Tokenizer::is_stopword(word)) << word;
+    EXPECT_TRUE(tokenizer.tokenize(word).empty()) << word;
+  }
+  // One byte added, removed or changed: no longer a stopword.
+  for (const std::string word :
+       {"thee", "an1", "whose", "th", "usings", "wher", "yours", "dont1"}) {
+    EXPECT_FALSE(Tokenizer::is_stopword(word)) << word;
+    EXPECT_EQ(tokenizer.tokenize(word), (std::vector<std::string>{word}));
+  }
+  EXPECT_FALSE(Tokenizer::is_stopword(""));
+}
+
 TEST(Tokenizer, KeepsAlphanumericIdentifiers) {
   const Tokenizer tokenizer;
   const auto tokens = tokenizer.tokenize("python3 utf8 b2b");

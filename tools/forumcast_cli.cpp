@@ -1210,7 +1210,9 @@ void usage() {
                "  --fit-threads N      training parallelism: LDA shards and\n"
                "                       gradient columns (0 = all cores, default\n"
                "                       1); N>1 only changes the LDA stage\n"
-               "                       (deterministic per thread count)\n"
+               "                       (deterministic per thread count).\n"
+               "                       Independent fit stages overlap at any N\n"
+               "                       without changing the model\n"
                "  --centrality-mode M  'exact' (default; bit-stable full Brandes)\n"
                "                       or 'sampled' (pivot-sampled centralities\n"
                "                       with incremental dirty-region refresh —\n"
